@@ -1,12 +1,59 @@
-"""Small shared helpers."""
+"""Small shared helpers: input validation, golden-section search and a thread map."""
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 R = TypeVar("R")
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def check_finite(**values: float) -> None:
+    """Raise ValueError naming the first keyword value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarray,
+                       abs_tol: float = 0.0, rel_tol: float = 0.0) -> tuple[float, float]:
+    """Refine the best grid point of ``fs = f(xs)`` (xs ascending) by golden-section search.
+
+    The bracket spans the neighbors of the first grid maximum and shrinks
+    while ``hi - lo > abs_tol + rel_tol * hi``.  Its midpoint snaps to an end
+    of the grid within ``abs_tol`` of it.  Returns ``(x, f(x))`` for that
+    point, or the best grid point and its value where that value is higher.
+    """
+    best = int(np.argmax(fs))
+    lo = xs[max(best - 1, 0)]
+    hi = xs[min(best + 1, len(xs) - 1)]
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > abs_tol + rel_tol * hi:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+    x = 0.5 * (lo + hi)
+    if x <= xs[0] + abs_tol:
+        x = xs[0]
+    elif x >= xs[-1] - abs_tol:
+        x = xs[-1]
+    fx = f(x)
+    if fx >= fs[best]:
+        return float(x), float(fx)
+    return float(xs[best]), float(fs[best])
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T], threads: int = 1) -> list[R]:

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import __version__
 from .gmrf_mc import mc_kli_estimate
-from .inforates import kli_rate_sfcar, mi_rate_sfcar, optimal_zeta, sfcar_info_rates
+from .inforates import _sfcar_rates, kli_rate_sfcar, optimal_zeta, sfcar_info_rates
 from .network import (
-    InfeasibleEnergyError,
     NetworkConfig,
     optimal_density,
     sweep_energy_fixed_all,
@@ -27,7 +26,7 @@ from .network import (
     sweep_infinite_density,
     sweep_spacing,
 )
-from .spectra import InvalidModelError, SingularModelError, sfcar_for_snr
+from .spectra import sfcar_for_snr
 from ._util import parallel_map
 
 __all__ = ["main", "emit_plotdata", "DEFAULT_SEED"]
@@ -84,12 +83,12 @@ def _snr_linear(args) -> float:
     raise ValueError("one of --snr-db or --snr-linear is required")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, threads: bool = False) -> None:
     parser.add_argument("--grid", type=int, default=512, help="quadrature side count (default 512)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"RNG seed (default {DEFAULT_SEED})")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default ${_THREADS_ENV} or 1)")
+    if threads:
+        # a string default goes through type=int, so a bad variable is a usage error
+        parser.add_argument("--threads", type=int, default=os.environ.get(_THREADS_ENV, "1"),
+                            help=f"worker threads (default ${_THREADS_ENV} or 1)")
     parser.add_argument("--output", type=str, default=None, help="CSV output path")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags win")
@@ -100,7 +99,8 @@ def _add_snr(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-linear", type=float, default=None, help="measurement SNR, linear ratio")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="gmrfinfo",
         description="Information rates of hidden lattice Gauss-Markov fields "
@@ -118,20 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-min", type=float, default=0.0)
     p.add_argument("--zeta-max", type=float, default=0.25)
     p.add_argument("--points", type=int, default=101)
-    _add_common(p)
+    _add_common(p, threads=True)
 
     p = sub.add_parser("sweep-snr", help="rates over an SNR range at fixed zeta")
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--snr-db-min", type=float, default=-10.0)
     p.add_argument("--snr-db-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=41)
-    _add_common(p)
+    _add_common(p, threads=True)
 
     p = sub.add_parser("optimal-zeta", help="information-maximizing zeta over an SNR range")
     p.add_argument("--snr-db-min", type=float, default=-10.0)
     p.add_argument("--snr-db-max", type=float, default=10.0)
     p.add_argument("--step-db", type=float, default=0.5)
-    _add_common(p)
+    _add_common(p, threads=True)
 
     p = sub.add_parser("mc-verify", help="Monte Carlo check of the per-node KLI limit")
     _add_snr(p)
@@ -139,6 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64, help="lattice side")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--sigma2", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"RNG seed (default {DEFAULT_SEED})")
     _add_common(p)
 
     p = sub.add_parser("scaling", help="fixed-density coverage sweep (area/energy laws)")
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=10.0)
     p.add_argument("--measure", choices=["kli", "mi"], default="kli")
     p.add_argument("--fusion", action="store_true", help="in-network aggregation energy model")
-    _add_common(p)
+    _add_common(p, threads=True)
 
     p = sub.add_parser("spacing", help="per-node rate vs sensor spacing at fixed SNR")
     _add_snr(p)
@@ -196,34 +198,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["kli", "mi"], default="kli")
     _add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    # pre-scan for --config and inject file values as defaults (flags win)
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
-    with open(path) as fh:
-        values = json.load(fh)
-    injected = []
-    for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
-        elif isinstance(value, list):
-            injected.append(flag)
-            injected.extend(str(v) for v in value)
-        else:
-            injected.extend([flag, str(value)])
-    # defaults go after the subcommand so the subparser consumes them
-    return argv[:2] + injected + argv[2:]
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a ``--config`` JSON object supplies defaults, explicit flags win."""
+    parser, commands = build_parser()
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a missing path is left to the full parse
+    path = pre.parse_known_args(argv)[0].config
+    command = commands.get(argv[0]) if argv else None
+    if path is not None and command is not None:
+        with open(path) as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        actions = {a.dest: a for a in command._actions if a.dest != "help"}
+        unknown = sorted(set(values) - set(actions))
+        if unknown:
+            raise ValueError(f"unknown config key(s) for {argv[0]}: {', '.join(unknown)}")
+        for key, value in values.items():
+            action = actions[key]
+            action.required = False
+            try:  # the conversion the flag itself would apply
+                if action.type is not None:
+                    values[key] = [action.type(v) for v in value] if action.nargs else action.type(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        command.set_defaults(**values)
+    return parser.parse_args(argv)
 
 
-def _run_rates(args, threads):
+def _run_rates(args):
     result = sfcar_info_rates(_snr_linear(args), args.zeta, args.grid)
     print(f"kli={result.kli:.12g} mi={result.mi:.12g} "
           f"quad_error={result.quad_error_estimate:.3g} grid={result.grid}")
@@ -232,40 +238,36 @@ def _run_rates(args, threads):
     return rows, ["snr", "zeta", "kli", "mi", "quad_error"], {}
 
 
-def _run_sweep_zeta(args, threads):
+def _run_sweep_zeta(args):
     snr = _snr_linear(args)
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
-    pairs = parallel_map(
-        lambda z: (kli_rate_sfcar(snr, z, args.grid), mi_rate_sfcar(snr, z, args.grid)),
-        zetas, threads)
+    pairs = parallel_map(lambda z: _sfcar_rates(snr, z, args.grid), zetas, args.threads)
     rows = [{"zeta": float(z), "kli": k, "mi": m} for z, (k, m) in zip(zetas, pairs)]
     print(f"swept {len(rows)} zeta points at snr={snr:.6g}")
     return rows, ["zeta", "kli", "mi"], {}
 
 
-def _run_sweep_snr(args, threads):
+def _run_sweep_snr(args):
     dbs = np.linspace(args.snr_db_min, args.snr_db_max, args.points)
-    pairs = parallel_map(
-        lambda db: (kli_rate_sfcar(10 ** (db / 10), args.zeta, args.grid),
-                    mi_rate_sfcar(10 ** (db / 10), args.zeta, args.grid)),
-        dbs, threads)
+    pairs = parallel_map(lambda db: _sfcar_rates(10 ** (db / 10), args.zeta, args.grid),
+                         dbs, args.threads)
     rows = [{"snr_db": float(db), "snr": 10 ** (float(db) / 10), "kli": k, "mi": m}
             for db, (k, m) in zip(dbs, pairs)]
     print(f"swept {len(rows)} SNR points at zeta={args.zeta}")
     return rows, ["snr_db", "snr", "kli", "mi"], {}
 
 
-def _run_optimal_zeta(args, threads):
+def _run_optimal_zeta(args):
     steps = int(round((args.snr_db_max - args.snr_db_min) / args.step_db)) + 1
     dbs = [args.snr_db_min + i * args.step_db for i in range(steps)]
-    results = parallel_map(lambda db: optimal_zeta(10 ** (db / 10), grid=args.grid), dbs, threads)
+    results = parallel_map(lambda db: optimal_zeta(10 ** (db / 10), grid=args.grid), dbs, args.threads)
     rows = [{"snr_db": db, "zeta_star": z, "kli_star": v}
             for db, (z, v) in zip(dbs, results)]
     print(f"optimal zeta over {len(rows)} SNR points")
     return rows, ["snr_db", "zeta_star", "kli_star"], {}
 
 
-def _run_mc_verify(args, threads):
+def _run_mc_verify(args):
     snr = _snr_linear(args)
     model = sfcar_for_snr(snr, args.zeta, args.sigma2)
     report = mc_kli_estimate(model, args.sigma2, args.n, args.trials, args.seed)
@@ -277,18 +279,10 @@ def _run_mc_verify(args, threads):
     return rows, ["n", "trials", "seed", "mean", "std_error", "target"], {}
 
 
-def _network_config(args, n=None, dn=None):
-    return NetworkConfig(
-        n=n if n is not None else args.n_list[0],
-        dn=dn if dn is not None else args.dn,
-        es=args.es, e0=args.e0, nu=args.nu, alpha=args.alpha, beta=args.beta,
-        fusion=getattr(args, "fusion", False),
-    )
-
-
-def _run_scaling(args, threads):
-    sweep = sweep_fixed_density(_network_config(args), args.n_list, args.measure,
-                                args.grid, threads)
+def _run_scaling(args):
+    cfg = NetworkConfig(n=args.n_list[0], dn=args.dn, es=args.es, e0=args.e0, nu=args.nu,
+                        alpha=args.alpha, beta=args.beta, fusion=args.fusion)
+    sweep = sweep_fixed_density(cfg, args.n_list, args.measure, args.grid, args.threads)
     rows = [{"n": r.n, "area": r.n**2 * r.dn**2, "snr": r.snr, "zeta": r.zeta,
              "per_node_info": r.per_node_info, "total_info": r.total_info,
              "total_energy": r.total_energy, "efficiency": r.efficiency}
@@ -305,7 +299,7 @@ def _run_scaling(args, threads):
                   "total_energy", "efficiency"], extras
 
 
-def _run_spacing(args, threads):
+def _run_spacing(args):
     snr = _snr_linear(args)
     cfg = NetworkConfig(n=2, dn=1.0, es=snr, e0=1.0, nu=2.0, alpha=args.alpha, beta=1.0)
     dns = list(np.linspace(args.dn_min, args.dn_max, args.points))
@@ -318,7 +312,7 @@ def _run_spacing(args, threads):
     return rows, ["dn", "rate", "gap"], extras
 
 
-def _run_density(args, threads):
+def _run_density(args):
     snr = _snr_linear(args)
     mus = list(np.logspace(math.log10(args.mu_min), math.log10(args.mu_max), args.points))
     sweep = sweep_infinite_density(args.L, mus, args.measure, snr, args.alpha, args.grid)
@@ -329,7 +323,7 @@ def _run_density(args, threads):
     return rows, ["mu", "rate", "per_area_info"], extras
 
 
-def _run_energy(args, threads):
+def _run_energy(args):
     cfg = NetworkConfig(n=args.n, dn=args.dn, es=1.0, e0=args.e0, nu=args.nu,
                         alpha=args.alpha, beta=args.beta)
     sweep = sweep_energy_fixed_all(cfg, args.et_list, args.measure, args.grid)
@@ -340,7 +334,7 @@ def _run_energy(args, threads):
     return rows, ["et", "total_info"], extras
 
 
-def _run_optimal_density(args, threads):
+def _run_optimal_density(args):
     mus = np.logspace(math.log10(args.mu_min), math.log10(args.mu_max), args.points)
     result = optimal_density(args.L, args.et, args.alpha, args.beta, args.e0,
                              args.nu, args.measure, mus, args.grid)
@@ -373,20 +367,16 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, ["gmrfinfo"] + argv)[1:]
-        args = parser.parse_args(argv)
-        threads = args.threads if args.threads is not None else int(os.environ.get(_THREADS_ENV, "1"))
-        rows, schema, extras = _RUNNERS[args.command](args, threads)
+        args = _parse_args(argv)
+        rows, schema, extras = _RUNNERS[args.command](args)
         if args.output:
             emit_plotdata(rows, schema, args.output)
             config = {k: v for k, v in vars(args).items() if k not in ("command",)}
             _write_metadata(args.output, args.command, config, extras)
             print(f"wrote {args.output} ({len(rows)} rows) and {args.output}.meta.json")
         return 0
-    except (ValueError, InvalidModelError, SingularModelError, InfeasibleEnergyError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._util import check_finite
 from .specfun import bessel_k1, elliptic_k
 
 __all__ = [
@@ -34,8 +35,9 @@ class PhysicalField:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        check_finite(alpha=self.alpha)
+        if self.alpha <= 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
 def rho_from_zeta(zeta: float) -> float:
@@ -79,6 +81,7 @@ def rho_from_spacing(field: PhysicalField, dn: float) -> float:
     h decays like sqrt(dn) exp(-alpha dn) for large spacing.  The value is
     clamped to [0, 1] against rounding overshoot near dn = 0.
     """
+    check_finite(spacing=dn)
     if dn < 0.0:
         raise ValueError(f"spacing must be >= 0, got {dn!r}")
     if dn == 0.0:

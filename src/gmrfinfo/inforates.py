@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import check_finite, golden_section_max
 from .specfun import elliptic_k
 from .spectra import SpectralDensity, omega_grid
 
@@ -31,8 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 512
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -67,44 +66,46 @@ def _cos_sum(grid: int) -> np.ndarray:
 
 
 def _check_snr_zeta(snr: float, zeta: float) -> None:
-    if snr < 0.0 or not math.isfinite(snr):
-        raise ValueError(f"snr must be finite and >= 0, got {snr!r}")
+    check_finite(snr=snr)
+    if snr < 0.0:
+        raise ValueError(f"snr must be >= 0, got {snr!r}")
     if not 0.0 <= zeta <= 0.25:
         raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
 
 
-def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
-    """Per-node KLI rate of the hidden SFCAR model [nats/node].
+def _sfcar_rates(snr: float, zeta: float, grid: int,
+                 kli: bool = True, mi: bool = True) -> tuple[float, float]:
+    """(KLI, MI) of the hidden SFCAR from one grid pass; a rate not asked for is NaN.
 
-    Quadrature of the closed-form integrand in (SNR, zeta); zeta = 1/4 returns
-    exactly 0 (the perfectly correlated limit), as does snr = 0.
+    Both integrands are functions of a = snr / (q (1 - 2 zeta (cos w1 + cos w2))):
+    MI = mean(h) and KLI = mean(h - a / (2 (1 + a))) with h = log1p(a) / 2.
+    zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
     _check_snr_zeta(snr, zeta)
     if snr == 0.0 or zeta == 0.25:
-        return 0.0
+        return 0.0, 0.0
     q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
     a = snr / (q * (1.0 - 2.0 * zeta * _cos_sum(grid)))
-    return float(np.mean(0.5 * np.log1p(a) - 0.5 * a / (1.0 + a)))
+    h = 0.5 * np.log1p(a)
+    return (float(np.mean(h - 0.5 * a / (1.0 + a))) if kli else math.nan,
+            float(np.mean(h)) if mi else math.nan)
+
+
+def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
+    """Per-node KLI rate of the hidden SFCAR model [nats/node]; 0 at zeta = 1/4 and at snr = 0."""
+    return _sfcar_rates(snr, zeta, grid, mi=False)[0]
 
 
 def mi_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate of the hidden SFCAR model [nats/node]."""
-    _check_snr_zeta(snr, zeta)
-    if snr == 0.0 or zeta == 0.25:
-        return 0.0
-    q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    a = snr / (q * (1.0 - 2.0 * zeta * _cos_sum(grid)))
-    return float(np.mean(0.5 * np.log1p(a)))
+    return _sfcar_rates(snr, zeta, grid, kli=False)[1]
 
 
 def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoRateResult:
     """Both SFCAR rates at ``grid`` plus the gap to a 2x-refined quadrature."""
-    kli = kli_rate_sfcar(snr, zeta, grid)
-    mi = mi_rate_sfcar(snr, zeta, grid)
-    err = max(
-        abs(kli - kli_rate_sfcar(snr, zeta, 2 * grid)),
-        abs(mi - mi_rate_sfcar(snr, zeta, 2 * grid)),
-    )
+    kli, mi = _sfcar_rates(snr, zeta, grid)
+    kli_fine, mi_fine = _sfcar_rates(snr, zeta, 2 * grid)
+    err = max(abs(kli - kli_fine), abs(mi - mi_fine))
     return InfoRateResult(kli=kli, mi=mi, grid=grid, quad_error_estimate=err)
 
 
@@ -174,7 +175,8 @@ def optimal_zeta(
     Coarse scan over [0, 1/4] (ties resolved toward smaller zeta) followed by
     golden-section refinement between the neighbors of the best coarse point.
     Returns (zeta_star, kli_star); a refined point within refine_tol of an
-    interval endpoint snaps to it exactly.
+    interval endpoint snaps to it exactly, and the best coarse point is
+    returned instead where its KLI is higher.
     """
     if snr <= 0.0:
         raise ValueError(f"snr must be positive, got {snr!r}")
@@ -186,25 +188,4 @@ def optimal_zeta(
 
     zs = np.linspace(0.0, 0.25, coarse)
     vals = np.array([objective(z) for z in zs])
-    best = int(np.argmax(vals))  # first max -> smaller zeta on ties
-
-    lo = zs[max(best - 1, 0)]
-    hi = zs[min(best + 1, coarse - 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > refine_tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    z_star = 0.5 * (lo + hi)
-    if z_star <= refine_tol:
-        z_star = 0.0
-    elif z_star >= 0.25 - refine_tol:
-        z_star = 0.25
-    return z_star, objective(z_star)
+    return golden_section_max(objective, zs, vals, abs_tol=refine_tol)

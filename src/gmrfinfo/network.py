@@ -14,7 +14,7 @@ import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import parallel_map
+from ._util import check_finite, golden_section_max, parallel_map
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -39,9 +39,6 @@ __all__ = [
     "EnergySweep",
     "DensityOptimum",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class InfeasibleEnergyError(ValueError):
     """The energy budget cannot cover the required communication energy."""
@@ -69,6 +66,7 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        check_finite(dn=self.dn, es=self.es, e0=self.e0, nu=self.nu, beta=self.beta)
         if self.dn <= 0.0:
             raise ValueError(f"dn must be positive, got {self.dn!r}")
         if self.es < 0.0:
@@ -108,18 +106,12 @@ class FitResult:
 
 
 def hop_sum(n: int) -> int:
-    """Total hop count sum_{ij} |i - floor(n/2)| + |j - floor(n/2)|.
-
-    Computed by enumeration and checked against the closed forms
-    n(n-1)(n+1)/2 (n odd) and n^3/2 (n even).
+    """Total hop count sum_{ij} |i - floor(n/2)| + |j - floor(n/2)|:
+    n(n-1)(n+1)/2 for odd n and n^3/2 for even n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = np.abs(np.arange(n) - n // 2)
-    total = int(2 * n * d.sum())
-    closed = n * (n - 1) * (n + 1) // 2 if n % 2 else n**3 // 2
-    assert total == closed, f"hop count {total} != closed form {closed} at n={n}"
-    return total
+    return n * (n - 1) * (n + 1) // 2 if n % 2 else n**3 // 2
 
 
 def hop_sum_closed(n: float) -> float:
@@ -425,8 +417,9 @@ def optimal_density(
     communication energy from the odd-n closed form, sensing energy from the
     budget at equality, SNR = beta * es, and total information = n^2 times
     the per-node rate.  Densities with negative sensing energy are excluded.
-    The best grid point is refined by golden-section search; interior local
-    maxima of the grid curve are reported alongside.
+    The best grid point is refined by golden-section search and kept where
+    the refined point is lower; interior local maxima of the grid curve are
+    reported alongside.
     """
     if mu_grid is None:
         mu_grid = np.logspace(-1, 4, 201)
@@ -458,25 +451,10 @@ def optimal_density(
         if infos_f[i] > infos_f[i - 1] and infos_f[i] >= infos_f[i + 1]:
             maxima.append((float(mus_f[i]), float(infos_f[i])))
 
-    best = int(np.argmax(infos_f))
-    lo = mus_f[max(best - 1, 0)]
-    hi = mus_f[min(best + 1, len(mus_f) - 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = evaluate(x1), evaluate(x2)
-    while hi - lo > refine_rel_tol * hi:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = evaluate(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = evaluate(x2)
-    mu_star = 0.5 * (lo + hi)
+    mu_star, info_star = golden_section_max(evaluate, mus_f, infos_f, rel_tol=refine_rel_tol)
     return DensityOptimum(
-        mu_star=float(mu_star),
-        info_star=float(evaluate(mu_star)),
+        mu_star=mu_star,
+        info_star=info_star,
         mu_list=tuple(float(m) for m in mus_f),
         total_info=tuple(float(v) for v in infos_f),
         local_maxima=tuple(maxima),

@@ -6,13 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from gmrfinfo.cli import DEFAULT_SEED, emit_plotdata, main
+from gmrfinfo.cli import DEFAULT_SEED, build_parser, emit_plotdata, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_exit(capsys, *argv):
+    """Exit code and stderr of a run that argparse may end with SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 class TestEmitPlotdata:
@@ -110,9 +119,16 @@ class TestMetadata:
         meta = json.loads((tmp_path / "rates.csv.meta.json").read_text())
         assert meta["command"] == "rates"
         assert meta["config"]["zeta"] == 0.05
-        assert meta["config"]["seed"] == DEFAULT_SEED
         assert meta["config"]["grid"] == 512
         assert "version" in meta
+
+    def test_mc_verify_sidecar_records_seed(self, capsys, tmp_path):
+        path = tmp_path / "mc.csv"
+        code, _, _ = run(capsys, "mc-verify", "--snr-db", "0", "--zeta", "0.0",
+                         "--n", "16", "--trials", "30", "--output", str(path))
+        assert code == 0
+        meta = json.loads((tmp_path / "mc.csv.meta.json").read_text())
+        assert meta["config"]["seed"] == DEFAULT_SEED
 
     def test_optimal_density_lists_maxima(self, capsys, tmp_path):
         path = tmp_path / "od.csv"
@@ -143,8 +159,51 @@ class TestConfigFile:
         assert code == 2
         assert "error:" in err
 
+    def test_trailing_config_without_path(self, capsys):
+        code, err = run_exit(capsys, "rates", "--zeta", "0.1", "--config")
+        assert code == 2
+        assert "--config" in err and "expected one argument" in err
+
+    @pytest.mark.parametrize("key,value", [("seed", 5), ("zeta", [0.1])])
+    def test_unknown_or_mistyped_key_named(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": 10, "zeta": 0.1, key: value}))
+        code, _, err = run(capsys, "rates", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and key in err
+
+
+class TestFlagScope:
+    SEED = {"mc-verify"}
+    THREADS = {"sweep-zeta", "sweep-snr", "optimal-zeta", "scaling"}
+
+    def test_flags_only_where_read(self):
+        _, commands = build_parser()
+        for name, sub in commands.items():
+            flags = {opt for action in sub._actions for opt in action.option_strings}
+            assert ("--seed" in flags) == (name in self.SEED), name
+            assert ("--threads" in flags) == (name in self.THREADS), name
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--snr-db", "0", "--zeta", "0.1", "--seed", "5"],
+        ["sweep-zeta", "--snr-db", "0", "--points", "3", "--seed", "5"],
+        ["rates", "--snr-db", "0", "--zeta", "0.1", "--threads", "2"],
+    ])
+    def test_unread_flag_rejected(self, capsys, argv):
+        code, err = run_exit(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_spacing_is_one_error_line(self, capfd, value):
+        code = main(["scaling", "--n-list", "17", "33", f"--dn={value}"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: dn must be finite, got {float(value)!r}\n"
+
     def test_infeasible_energy_exit_code(self, capsys):
         code, _, err = run(capsys, "energy", "--et-list", "0.001")
         assert code == 2

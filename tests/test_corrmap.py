@@ -94,6 +94,11 @@ class TestRhoFromSpacing:
         with pytest.raises(ValueError):
             PhysicalField(alpha=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(ValueError, match="spacing must be finite"):
+            rho_from_spacing(PhysicalField(alpha=1.0), value)
+
 
 class TestZetaFromSpacing:
     def test_wide_spacing_decorrelates(self):

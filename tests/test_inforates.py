@@ -70,6 +70,18 @@ class TestSfcarRates:
             kli_rate_sfcar(-1.0, 0.1)
         with pytest.raises(ValueError):
             mi_rate_sfcar(1.0, 0.3)
+        for snr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="snr must be finite"):
+                kli_rate_sfcar(snr, 0.1)
+
+    @pytest.mark.parametrize("snr,zeta", [(1.0, 0.1), (0.5, 0.25 - 1e-6), (1e-3, 0.2),
+                                          (1e6, 0.1), (1e-3, 0.25 - 1e-6), (1e6, 0.25 - 1e-6),
+                                          (0.0, 0.1), (1.0, 0.25)])
+    def test_single_rates_match_shared_kernel_bitwise(self, snr, zeta):
+        for grid in (256, 512):
+            res = sfcar_info_rates(snr, zeta, grid)
+            assert kli_rate_sfcar(snr, zeta, grid) == res.kli
+            assert mi_rate_sfcar(snr, zeta, grid) == res.mi
 
 
 class TestGeneralRates:
@@ -220,6 +232,14 @@ class TestOptimalZeta:
 
     def test_deterministic(self):
         assert optimal_zeta(0.7) == optimal_zeta(0.7)
+
+    def test_never_below_coarse_maximum(self):
+        # at -29.5 dB the golden-section midpoint snaps to 1/4, where KLI is 0
+        snr = 10 ** (-2.95)
+        z, v = optimal_zeta(snr)
+        coarse = max(kli_rate_sfcar(snr, float(x)) for x in np.linspace(0.0, 0.25, 101))
+        assert v >= coarse > 0.0
+        assert v == kli_rate_sfcar(snr, z)
 
     def test_refined_beats_coarse_neighbors(self):
         snr = 10 ** (-0.05)

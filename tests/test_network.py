@@ -66,6 +66,12 @@ class TestEnergy:
         with pytest.raises(ValueError):
             NetworkConfig(n=4, dn=1.0, es=1.0, e0=1.0, nu=1.5, alpha=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["dn", "es", "e0", "nu", "beta", "alpha"])
+    def test_config_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(BASE, **{field: value})
+
 
 class TestReport:
     def test_wide_spacing_mi_closed_form(self):
@@ -217,6 +223,12 @@ class TestOptimalDensity:
         coarse = optimal_density(**self.ARGS, mu_grid=np.logspace(0, 4, 201))
         fine = optimal_density(**self.ARGS, mu_grid=np.logspace(0, 4, 401))
         assert coarse.mu_star == pytest.approx(fine.mu_star, rel=0.02)
+
+    def test_never_below_best_grid_value(self):
+        # this budget puts a grid point above the golden-section midpoint
+        args = dict(self.ARGS, et=52.029905688678994)
+        res = optimal_density(**args, mu_grid=np.logspace(0, 4, 201))
+        assert res.info_star >= max(res.total_info)
 
     def test_all_infeasible(self):
         with pytest.raises(InfeasibleEnergyError):
