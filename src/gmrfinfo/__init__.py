@@ -5,7 +5,7 @@ coverage/density/energy scaling laws of lattice sensor networks.
 
 __version__ = "0.1.0"
 
-from .specfun import bessel_k1, elliptic_k
+from .specfun import bessel_k1, elliptic_e, elliptic_k
 from .spectra import (
     CarModel,
     InvalidModelError,

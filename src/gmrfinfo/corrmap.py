@@ -5,11 +5,10 @@ given diffusion rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ._util import check_finite
-from .specfun import bessel_k1, elliptic_k
+from .specfun import _agm, bessel_k1
 
 __all__ = [
     "PhysicalField",
@@ -18,10 +17,6 @@ __all__ = [
     "rho_from_spacing",
     "zeta_from_spacing",
 ]
-
-# Below this zeta the closed form for rho is a 0/0 ratio of nearly-equal
-# quantities; the Taylor expansion of K gives rho = zeta (1 + 5 zeta^2 + ...).
-_RHO_SERIES_SWITCH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -43,17 +38,14 @@ class PhysicalField:
 def rho_from_zeta(zeta: float) -> float:
     """Edge correlation gamma_01/gamma_00 of the SFCAR with edge dependence zeta.
 
-    rho = ((2/pi) K(4 zeta) - 1) / ((2/pi) (4 zeta) K(4 zeta)); the endpoints
-    map exactly (0 -> 0 since K(0) = pi/2, 1/4 -> 1 since K(1) = inf).
+    rho = (q - 1) / (4 zeta q) = (1 - M) / (4 zeta) with q = (2/pi) K(4 zeta) = 1 / M,
+    M = AGM(1, sqrt(1 - 16 zeta^2)); 0 -> 0 and 1/4 -> 1 map exactly.
     """
     if not 0.0 <= zeta <= 0.25:
         raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
     if zeta == 0.25:
         return 1.0
-    if zeta < _RHO_SERIES_SWITCH:
-        return zeta * (1.0 + 5.0 * zeta * zeta)
-    q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    return (q - 1.0) / (q * 4.0 * zeta)
+    return _agm(4.0 * zeta)[1]
 
 
 def zeta_from_rho(rho: float) -> float:

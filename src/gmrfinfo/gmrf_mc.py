@@ -199,7 +199,7 @@ def mc_kli_estimate(
     return _report(values, n, seed)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _signal_gamma_table(kappa: float, zeta: float, cov_grid: int) -> np.ndarray:
     tab = autocovariance_grid(sfcar_spectrum(SfcarModel(kappa, zeta)), cov_grid)
     tab.setflags(write=False)

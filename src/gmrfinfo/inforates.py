@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._util import check_finite, golden_section_max
-from .specfun import elliptic_k
+from .specfun import _agm, elliptic_k
 from .spectra import SpectralDensity, omega_grid
 
 __all__ = [
@@ -65,14 +65,6 @@ def _cos_sum(grid: int) -> np.ndarray:
     return out
 
 
-def _check_snr_zeta(snr: float, zeta: float) -> None:
-    check_finite(snr=snr)
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
-    if not 0.0 <= zeta <= 0.25:
-        raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
-
-
 def _sfcar_rates(snr: float, zeta: float, grid: int,
                  kli: bool = True, mi: bool = True) -> tuple[float, float]:
     """(KLI, MI) of the hidden SFCAR from one grid pass; a rate not asked for is NaN.
@@ -81,7 +73,11 @@ def _sfcar_rates(snr: float, zeta: float, grid: int,
     MI = mean(h) and KLI = mean(h - a / (2 (1 + a))) with h = log1p(a) / 2.
     zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
-    _check_snr_zeta(snr, zeta)
+    check_finite(snr=snr)
+    if snr < 0.0:
+        raise ValueError(f"snr must be >= 0, got {snr!r}")
+    if not 0.0 <= zeta <= 0.25:
+        raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
     q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
@@ -122,6 +118,7 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
     (2 pi)^{-d} integral of the bin-wise Gaussian Kullback-Leibler divergence
     D(N(0, sigma^2) || N(0, (2 pi)^d f1)); nonnegative term by term.
     """
+    check_finite(sigma2=sigma2)
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     if f1.dim > 3:
@@ -134,6 +131,7 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
 
 def mi_rate_general(f: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate for a general d-D signal spectrum f (d <= 3)."""
+    check_finite(sigma2=sigma2)
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     if f.dim > 3:
@@ -145,23 +143,19 @@ def mi_rate_general(f: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID)
     return float(np.mean(0.5 * np.log1p(a)))
 
 
-def low_snr_constants(zeta: float, grid: int = DEFAULT_GRID) -> LowSnrConstants:
+def low_snr_constants(zeta: float) -> LowSnrConstants:
     """Small-SNR coefficients c3 (KLI, quadratic) and c3' (MI, linear).
 
     c3  = (2^6 K^2(4 zeta))^{-1} integral (1 - 2 zeta cos w1 - 2 zeta cos w2)^{-2}
-    c3' = (2^4 pi K(4 zeta))^{-1} integral (1 - 2 zeta cos w1 - 2 zeta cos w2)^{-1}
-
-    The c3 integrand stops being integrable at zeta = 1/4, so zeta > 0.2499 is
-    rejected.
+        = pi E(4 zeta) / (8 (1 - 16 zeta^2) K(4 zeta)^2)
+    c3' = (2^4 pi K(4 zeta))^{-1} integral (1 - 2 zeta cos w1 - 2 zeta cos w2)^{-1} = 1/2
+    c3 diverges at zeta = 1/4, so zeta > 0.2499 is rejected.
     """
     if not 0.0 <= zeta <= 0.2499:
         raise ValueError(f"zeta must lie in [0, 0.2499] for the low-SNR constants, got {zeta!r}")
-    u = 1.0 - 2.0 * zeta * _cos_sum(grid)
-    four_pi2 = 4.0 * math.pi**2
-    i2 = four_pi2 * float(np.mean(u**-2.0))
-    i1 = four_pi2 * float(np.mean(1.0 / u))
-    k = elliptic_k(4.0 * zeta)
-    return LowSnrConstants(c3=i2 / (64.0 * k * k), c3_prime=i1 / (16.0 * math.pi * k))
+    k = 4.0 * zeta
+    m, _, e_over_k = _agm(k)  # c3 = M (E / K) / (4 (1 - k^2)) since K = pi / (2 M)
+    return LowSnrConstants(c3=m * e_over_k / (4.0 * (1.0 - k) * (1.0 + k)), c3_prime=0.5)
 
 
 def optimal_zeta(

@@ -1,22 +1,16 @@
-"""Self-contained special functions: complete elliptic integral of the first
-kind and the modified Bessel function of the second kind, order 1.
-
-Both are needed by the field-power and physical-correlation formulas and are
-validated in the test suite against adaptive quadrature of their defining
-integrals.
+"""Self-contained special functions: the complete elliptic integrals of the
+first and second kind (one AGM iteration) and the modified Bessel function of
+the second kind, order 1, each validated in the tests against quadrature of
+its defining integral and against high-precision references.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["elliptic_k", "bessel_k1"]
+__all__ = ["elliptic_k", "elliptic_e", "bessel_k1"]
 
 _EULER_GAMMA = 0.5772156649015328606
-
-# K switches to its logarithmic asymptote this close to the k = 1 pole, where
-# the AGM start value sqrt(1 - k^2) would lose all significant digits.
-_K_LOG_SWITCH = 1.0 - 1e-12
 
 # bessel_k1 branch seams.  The ascending series starts cancelling badly past
 # x ~ 4 (the log(x/2) I1(x) term dwarfs the result), and the large-x expansion
@@ -27,26 +21,45 @@ _K1_SERIES_MAX = 2.0
 _K1_ASYMPTOTIC_MIN = 15.0
 
 
+def _agm(k: float) -> tuple[float, float, float]:
+    """(M, (1 - M) / k, E(k) / K(k)) for 0 <= k < 1, where M = AGM(1, sqrt(1 - k^2)).
+
+    A&S 17.6: K = pi / (2 M), 1 - M = sum_n c_{n+1}, E / K = 1 - sum_n 2^(n-1) c_n^2,
+    c_0 = k, c_{n+1} = (a_n - b_n) / 2 = k g_n / 2; g_n neither cancels nor underflows.
+    """
+    b = math.sqrt((1.0 - k) * (1.0 + k))
+    a, g, weight = 1.0, k / (1.0 + b), 0.25 * k * k  # 2^n c_{n+1}^2 = weight g_n^2
+    gap, e_ratio = 0.0, 0.5 * (1.0 + b * b)  # 1 - c_0^2 / 2
+    while True:
+        gap += 0.5 * g
+        e_ratio -= weight * g * g
+        if g <= 1e-10 * gap:  # quadratic convergence: the next term is < 1e-20 of the sum
+            return 0.5 * (a + b), gap, e_ratio
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        g = k * g * g / (4.0 * (a + b))
+        weight += weight
+
+
 def elliptic_k(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
-    K(k) = integral_0^{pi/2} (1 - k^2 sin^2 t)^{-1/2} dt, evaluated by
-    arithmetic-geometric-mean iteration.  K(0) = pi/2; K diverges as k -> 1,
-    and for k >= 1 - 1e-12 the logarithmic form ln(4 / sqrt(1 - k^2)) is used.
+    K(k) = integral_0^{pi/2} (1 - k^2 sin^2 t)^{-1/2} dt = pi / (2 AGM(1, k')).
+    K(0) = pi/2; K diverges as k -> 1.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"elliptic_k requires 0 <= k < 1, got {k!r}")
-    if k >= _K_LOG_SWITCH:
-        comp = (1.0 - k) * (1.0 + k)  # cancellation-free 1 - k^2
-        return math.log(4.0 / math.sqrt(comp))
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    # AGM converges quadratically; 40 iterations is far beyond need.
-    for _ in range(40):
-        if abs(a - b) <= 1e-15 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(k)[0])
+
+
+def elliptic_e(k: float) -> float:
+    """Complete elliptic integral of the second kind, modulus convention.
+
+    E(k) = integral_0^{pi/2} (1 - k^2 sin^2 t)^{1/2} dt, from the same AGM as K.
+    """
+    if not 0.0 <= k < 1.0:
+        raise ValueError(f"elliptic_e requires 0 <= k < 1, got {k!r}")
+    m, _, e_ratio = _agm(k)
+    return math.pi / (2.0 * m) * e_ratio
 
 
 def bessel_k1(x: float) -> float:

@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from ._util import check_finite
 from .specfun import elliptic_k
 
 __all__ = [
@@ -180,6 +181,7 @@ def signal_power(model: SfcarModel) -> float:
 
 def measurement_snr(model: SfcarModel, sigma2: float) -> float:
     """Measurement SNR = P / sigma^2 for observation noise variance sigma^2."""
+    check_finite(sigma2=sigma2)
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     return signal_power(model) / sigma2
@@ -190,6 +192,7 @@ def sfcar_for_snr(snr: float, zeta: float, sigma2: float = 1.0) -> SfcarModel:
 
     Inverts SNR = 2 K(4 zeta) / (pi kappa sigma^2) for kappa.
     """
+    check_finite(snr=snr, zeta=zeta, sigma2=sigma2)
     if snr <= 0.0:
         raise ValueError("snr must be positive to pin a model power")
     if not 0.0 <= zeta < 0.25:
@@ -200,6 +203,7 @@ def sfcar_for_snr(snr: float, zeta: float, sigma2: float = 1.0) -> SfcarModel:
 
 def hidden_spectrum(signal: SpectralDensity, sigma2: float) -> SpectralDensity:
     """Observation spectrum f1 = sigma^2/(2 pi)^d + f for signal-plus-noise."""
+    check_finite(sigma2=sigma2)
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
     noise_level = sigma2 / TWO_PI**signal.dim

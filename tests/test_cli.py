@@ -209,6 +209,14 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_mc_verify_nonfinite_sigma2_named(self, capfd, value):
+        code = main(["mc-verify", "--snr-db", "0", "--zeta", "0.1", f"--sigma2={value}", "--n", "8"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: sigma2 must be finite, got {float(value)!r}\n"
+
     def test_mc_verify_runs(self, capsys):
         code, out, _ = run(capsys, "mc-verify", "--snr-db", "0", "--zeta", "0.0",
                            "--n", "16", "--trials", "50")

@@ -7,6 +7,7 @@ import pytest
 
 from gmrfinfo.gmrf_mc import (
     NonpositiveEigenvalueError,
+    _signal_gamma_table,
     circulant_eigs,
     dense_circulant,
     dense_covariance,
@@ -204,6 +205,24 @@ class TestDenseChecks:
         weak = toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.05), 1.0, [16])[0][1]
         strong = toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.2), 1.0, [16])[0][1]
         assert strong > weak
+
+    def test_gamma_table_cache_holds_one_model(self):
+        # every cache hit comes from within one call; older tables are never read again
+        toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.05), 1.0, [8])
+        logdet_convergence(sfcar_for_snr(1.0, 0.15), 1.0, [8, 16])
+        assert _signal_gamma_table.cache_info().currsize == 1
+        before = _signal_gamma_table.cache_info().misses
+        toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.12), 1.0, [8, 16])
+        assert _signal_gamma_table.cache_info().misses == before + 1
+        assert _signal_gamma_table.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sigma2_rejected(self, sigma2):
+        model = sfcar_for_snr(1.0, 0.1)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            logdet_convergence(model, sigma2, [8])
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            mc_kli_estimate(model, sigma2, 8, 30, seed=0)
 
     def test_dense_matrices_consistent(self):
         # circulant equals Toeplitz wherever offsets do not wrap

@@ -3,6 +3,7 @@ small/large SNR laws, ordering, and the optimal edge dependence."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,9 +17,19 @@ from gmrfinfo.inforates import (
     sfcar_info_rates,
     stein_kli,
 )
-from gmrfinfo.spectra import constant_spectrum, hidden_spectrum, sfcar_for_snr, sfcar_spectrum
+from gmrfinfo.spectra import constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr, sfcar_spectrum
 
 FOUR_PI2 = 4.0 * math.pi**2
+
+
+def c3_grid(zeta: float, grid: int = 2048) -> float:
+    """c3 = (2^6 K^2(4 zeta))^{-1} integral (1 - 2 zeta cos w1 - 2 zeta cos w2)^{-2}
+    by the 2-D rectangle rule, summed in row blocks, with mpmath's K."""
+    c = np.cos(omega_grid(grid))
+    total = sum(float(np.sum((1.0 - 2.0 * zeta * (c[i:i + 256, None] + c[None, :])) ** -2.0))
+                for i in range(0, grid, 256))
+    big_k = float(mpmath.ellipk(16 * mpmath.mpf(zeta) ** 2))
+    return FOUR_PI2 * total / grid**2 / (64.0 * big_k**2)
 
 
 class TestStein:
@@ -146,6 +157,12 @@ class TestGeneralRates:
         with pytest.raises(ValueError):
             kli_rate_general(constant_spectrum(0.0), 1.0, 64)
 
+    @pytest.mark.parametrize("rate", [kli_rate_general, mi_rate_general])
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sigma2_rejected(self, rate, sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            rate(constant_spectrum(1.0), sigma2, 64)
+
 
 class TestLowSnr:
     def test_iid_constants(self):
@@ -175,6 +192,12 @@ class TestLowSnr:
     def test_near_singular_rejected(self):
         with pytest.raises(ValueError):
             low_snr_constants(0.24995)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.05, 0.1, 0.2, 0.24, 0.249])
+    def test_closed_form_matches_grid(self, zeta):
+        c = low_snr_constants(zeta)
+        assert abs(c.c3 / c3_grid(zeta) - 1.0) <= 1e-12
+        assert c.c3_prime == 0.5
 
 
 class TestOrderingAndHighSnr:

@@ -1,20 +1,38 @@
-"""Special functions against adaptive-quadrature oracles of their defining
-integrals, plus endpoint and branch-seam behavior."""
+"""Special functions against adaptive-quadrature and mpmath oracles, plus
+endpoint and branch-seam behavior."""
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe
 
 from gmrfinfo.specfun import (
     _k1_asymptotic,
     _k1_integral,
     _k1_series,
     bessel_k1,
+    elliptic_e,
     elliptic_k,
 )
+
+# Moduli for the mpmath oracles: a uniform grid, a log-spaced approach to the
+# k = 1 pole, and the old seam of elliptic_k's log asymptote at 1 - 1e-12.
+ORACLE_MODULI = sorted(
+    {float(k) for k in np.linspace(0.0, 1.0 - 1e-15, 101)}
+    | {float(k) for k in 1.0 - np.logspace(-1, -15, 57)}
+    | {1e-300, 1e-8, 1.0 - 1e-12 - 1e-13, 1.0 - 1e-12, 1.0 - 1e-12 + 1e-13}
+)
+
+
+def mp_complete_integrals(k: float) -> tuple[float, float]:
+    """(K(k), E(k)) at 40 digits; mpmath takes the parameter m = k^2."""
+    with mpmath.workdps(40):
+        m = mpmath.mpf(k) ** 2
+        return float(mpmath.ellipk(m)), float(mpmath.ellipe(m))
 
 
 def elliptic_k_oracle(k: float) -> float:
@@ -54,7 +72,8 @@ def test_elliptic_k_strictly_increasing():
 
 
 def test_elliptic_k_log_branch_agrees_with_agm():
-    # both evaluation routes at the same modulus, just below the switch
+    # the logarithmic asymptote, once a separate branch above 1 - 1e-12, still
+    # agrees with the AGM just below that old seam
     k = 1.0 - 1.5e-12
     log_form = math.log(4.0 / math.sqrt((1.0 - k) * (1.0 + k)))
     assert elliptic_k(k) == pytest.approx(log_form, rel=1e-11)
@@ -64,6 +83,31 @@ def test_elliptic_k_log_branch_agrees_with_agm():
 def test_elliptic_k_domain(k):
     with pytest.raises(ValueError):
         elliptic_k(k)
+
+
+def test_elliptic_k_and_e_match_mpmath():
+    for k in ORACLE_MODULI:
+        k_ref, e_ref = mp_complete_integrals(k)
+        assert abs(elliptic_k(k) / k_ref - 1.0) <= 1e-14, k
+        assert abs(elliptic_e(k) / e_ref - 1.0) <= 1e-14, k
+
+
+def test_elliptic_e_matches_scipy():
+    for k in ORACLE_MODULI:
+        assert abs(elliptic_e(k) / ellipe(k * k) - 1.0) <= 1e-14, k
+
+
+def test_elliptic_e_endpoints_and_monotone():
+    assert elliptic_e(0.0) == math.pi / 2
+    assert 1.0 < elliptic_e(1.0 - 1e-15) < 1.0 + 1e-12
+    vals = [elliptic_e(float(k)) for k in np.linspace(0.0, 1.0 - 1e-10, 200)]
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("k", [-0.1, 1.0, 1.5, math.nan])
+def test_elliptic_e_domain(k):
+    with pytest.raises(ValueError, match="elliptic_e requires 0 <= k < 1"):
+        elliptic_e(k)
 
 
 def test_bessel_k1_small_x_reciprocal():

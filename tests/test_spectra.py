@@ -175,6 +175,23 @@ class TestSnrHelpers:
                 model = sfcar_for_snr(snr, zeta, sigma2=2.0)
                 assert measurement_snr(model, 2.0) == pytest.approx(snr, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sigma2_rejected(self, value):
+        model = SfcarModel(kappa=1.0, zeta=0.1)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            measurement_snr(model, value)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            hidden_spectrum(sfcar_spectrum(model), value)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            sfcar_for_snr(1.0, 0.1, sigma2=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["snr", "zeta"])
+    def test_sfcar_for_snr_nonfinite_named(self, name, value):
+        args = {"snr": 1.0, "zeta": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sfcar_for_snr(**args)
+
     def test_hidden_spectrum_offset(self):
         base = constant_spectrum(0.5, dim=2)
         hid = hidden_spectrum(base, sigma2=2.0)
