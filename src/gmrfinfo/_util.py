@@ -1,15 +1,11 @@
-"""Small shared helpers: input validation, golden-section search and a thread map."""
+"""Small shared helpers: input validation and golden-section search."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -19,6 +15,14 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first keyword value that is not finite and positive."""
+    for name, value in values.items():
+        check_finite(**{name: value})
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarray,
@@ -55,15 +59,3 @@ def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarr
         return float(x), float(fx)
     return float(xs[best]), float(fs[best])
 
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T], threads: int = 1) -> list[R]:
-    """Map ``fn`` over ``items``, optionally on a thread pool.
-
-    Results are gathered in input order, so the output is identical for any
-    thread count; parallelism only affects wall time.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

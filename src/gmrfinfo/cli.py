@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -27,14 +26,12 @@ from .network import (
     sweep_spacing,
 )
 from .spectra import sfcar_for_snr
-from ._util import parallel_map
+from ._util import check_finite, check_positive
 
 __all__ = ["main", "emit_plotdata", "DEFAULT_SEED"]
 
 # Fixed default seed so that every run is reproducible unless overridden.
 DEFAULT_SEED = 1729
-
-_THREADS_ENV = "GMRFINFO_THREADS"
 
 
 def emit_plotdata(rows: Sequence[dict], schema: Sequence[str], path: str) -> None:
@@ -78,17 +75,20 @@ def _write_metadata(path: str, command: str, config: dict, extras: dict) -> None
 def _snr_linear(args) -> float:
     if args.snr_linear is not None:
         return args.snr_linear
-    if args.snr_db is not None:
-        return 10.0 ** (args.snr_db / 10.0)
-    raise ValueError("one of --snr-db or --snr-linear is required")
+    if args.snr_db is None:
+        raise ValueError("one of --snr-db or --snr-linear is required")
+    check_finite(**{"--snr-db": args.snr_db})
+    return 10.0 ** (args.snr_db / 10.0)
 
 
-def _add_common(parser: argparse.ArgumentParser, threads: bool = False) -> None:
+def _mu_grid(args) -> np.ndarray:
+    """--points densities log-spaced from --mu-min to --mu-max."""
+    check_positive(**{"--mu-min": args.mu_min, "--mu-max": args.mu_max})
+    return np.logspace(math.log10(args.mu_min), math.log10(args.mu_max), args.points)
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, default=512, help="quadrature side count (default 512)")
-    if threads:
-        # a string default goes through type=int, so a bad variable is a usage error
-        parser.add_argument("--threads", type=int, default=os.environ.get(_THREADS_ENV, "1"),
-                            help=f"worker threads (default ${_THREADS_ENV} or 1)")
     parser.add_argument("--output", type=str, default=None, help="CSV output path")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags win")
@@ -118,20 +118,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--zeta-min", type=float, default=0.0)
     p.add_argument("--zeta-max", type=float, default=0.25)
     p.add_argument("--points", type=int, default=101)
-    _add_common(p, threads=True)
+    _add_common(p)
 
     p = sub.add_parser("sweep-snr", help="rates over an SNR range at fixed zeta")
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--snr-db-min", type=float, default=-10.0)
     p.add_argument("--snr-db-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=41)
-    _add_common(p, threads=True)
+    _add_common(p)
 
     p = sub.add_parser("optimal-zeta", help="information-maximizing zeta over an SNR range")
     p.add_argument("--snr-db-min", type=float, default=-10.0)
     p.add_argument("--snr-db-max", type=float, default=10.0)
     p.add_argument("--step-db", type=float, default=0.5)
-    _add_common(p, threads=True)
+    _add_common(p)
 
     p = sub.add_parser("mc-verify", help="Monte Carlo check of the per-node KLI limit")
     _add_snr(p)
@@ -153,7 +153,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--beta", type=float, default=10.0)
     p.add_argument("--measure", choices=["kli", "mi"], default="kli")
     p.add_argument("--fusion", action="store_true", help="in-network aggregation energy model")
-    _add_common(p, threads=True)
+    _add_common(p)
 
     p = sub.add_parser("spacing", help="per-node rate vs sensor spacing at fixed SNR")
     _add_snr(p)
@@ -241,16 +241,16 @@ def _run_rates(args):
 def _run_sweep_zeta(args):
     snr = _snr_linear(args)
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
-    pairs = parallel_map(lambda z: _sfcar_rates(snr, z, args.grid), zetas, args.threads)
+    pairs = [_sfcar_rates(snr, z, args.grid) for z in zetas]
     rows = [{"zeta": float(z), "kli": k, "mi": m} for z, (k, m) in zip(zetas, pairs)]
     print(f"swept {len(rows)} zeta points at snr={snr:.6g}")
     return rows, ["zeta", "kli", "mi"], {}
 
 
 def _run_sweep_snr(args):
+    check_finite(**{"--snr-db-min": args.snr_db_min, "--snr-db-max": args.snr_db_max})
     dbs = np.linspace(args.snr_db_min, args.snr_db_max, args.points)
-    pairs = parallel_map(lambda db: _sfcar_rates(10 ** (db / 10), args.zeta, args.grid),
-                         dbs, args.threads)
+    pairs = [_sfcar_rates(10 ** (db / 10), args.zeta, args.grid) for db in dbs]
     rows = [{"snr_db": float(db), "snr": 10 ** (float(db) / 10), "kli": k, "mi": m}
             for db, (k, m) in zip(dbs, pairs)]
     print(f"swept {len(rows)} SNR points at zeta={args.zeta}")
@@ -258,9 +258,11 @@ def _run_sweep_snr(args):
 
 
 def _run_optimal_zeta(args):
+    check_finite(**{"--snr-db-min": args.snr_db_min, "--snr-db-max": args.snr_db_max})
+    check_positive(**{"--step-db": args.step_db})
     steps = int(round((args.snr_db_max - args.snr_db_min) / args.step_db)) + 1
     dbs = [args.snr_db_min + i * args.step_db for i in range(steps)]
-    results = parallel_map(lambda db: optimal_zeta(10 ** (db / 10), grid=args.grid), dbs, args.threads)
+    results = [optimal_zeta(10 ** (db / 10), grid=args.grid) for db in dbs]
     rows = [{"snr_db": db, "zeta_star": z, "kli_star": v}
             for db, (z, v) in zip(dbs, results)]
     print(f"optimal zeta over {len(rows)} SNR points")
@@ -282,7 +284,7 @@ def _run_mc_verify(args):
 def _run_scaling(args):
     cfg = NetworkConfig(n=args.n_list[0], dn=args.dn, es=args.es, e0=args.e0, nu=args.nu,
                         alpha=args.alpha, beta=args.beta, fusion=args.fusion)
-    sweep = sweep_fixed_density(cfg, args.n_list, args.measure, args.grid, args.threads)
+    sweep = sweep_fixed_density(cfg, args.n_list, args.measure, args.grid)
     rows = [{"n": r.n, "area": r.n**2 * r.dn**2, "snr": r.snr, "zeta": r.zeta,
              "per_node_info": r.per_node_info, "total_info": r.total_info,
              "total_energy": r.total_energy, "efficiency": r.efficiency}
@@ -314,8 +316,7 @@ def _run_spacing(args):
 
 def _run_density(args):
     snr = _snr_linear(args)
-    mus = list(np.logspace(math.log10(args.mu_min), math.log10(args.mu_max), args.points))
-    sweep = sweep_infinite_density(args.L, mus, args.measure, snr, args.alpha, args.grid)
+    sweep = sweep_infinite_density(args.L, _mu_grid(args), args.measure, snr, args.alpha, args.grid)
     rows = [{"mu": m, "rate": r, "per_area_info": p}
             for m, r, p in zip(sweep.mu_list, sweep.rates, sweep.per_area_info)]
     extras = {"plateau_variation": sweep.plateau_variation}
@@ -335,9 +336,8 @@ def _run_energy(args):
 
 
 def _run_optimal_density(args):
-    mus = np.logspace(math.log10(args.mu_min), math.log10(args.mu_max), args.points)
     result = optimal_density(args.L, args.et, args.alpha, args.beta, args.e0,
-                             args.nu, args.measure, mus, args.grid)
+                             args.nu, args.measure, _mu_grid(args), args.grid)
     rows = [{"mu": m, "total_info": v}
             for m, v in zip(result.mu_list, result.total_info)]
     extras = {

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._util import check_finite
+from ._util import check_finite, check_positive
 from .specfun import _agm, bessel_k1
 
 __all__ = [
@@ -30,9 +30,7 @@ class PhysicalField:
     alpha: float
 
     def __post_init__(self):
-        check_finite(alpha=self.alpha)
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        check_positive(alpha=self.alpha)
 
 
 def rho_from_zeta(zeta: float) -> float:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import check_positive
 from .spectra import (
     SfcarModel,
     SpectralDensity,
@@ -45,6 +46,7 @@ TWO_PI = 2.0 * math.pi
 
 _DENSE_LOGDET_MAX = 48   # dense block-Toeplitz assembly is (n^2)^2
 _DENSE_INVERSE_MAX = 32
+_COV_GRID = 1024         # per-side spectral quadrature grid of the plane autocovariances
 
 
 class NonpositiveEigenvalueError(ValueError):
@@ -93,14 +95,13 @@ def circulant_eigs(
     spec: SpectralDensity,
     n: int,
     mode: str = "spectrum",
-    cov_grid: int = 1024,
 ) -> CirculantSpectrum:
     """Torus covariance eigenvalues for an n-per-side lattice.
 
     mode="spectrum": lambda_i = (2 pi)^d f(omega_i) (exact torus model).
     mode="wrapped":  DFT of the wrapped plane autocovariances, i.e. the
     eigenvalues of the circulant approximation to the plane covariance;
-    plane autocovariances come from a cov_grid-per-side spectral quadrature.
+    plane autocovariances come from a 1024-per-side spectral quadrature.
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
@@ -112,7 +113,7 @@ def circulant_eigs(
         if not np.all(np.isfinite(eigs)):
             raise SingularSpectrumError("spectrum is not finite at the DFT frequencies")
     elif mode == "wrapped":
-        gamma = autocovariance_grid(spec, cov_grid)
+        gamma = autocovariance_grid(spec, _COV_GRID)
         idx = np.minimum(np.arange(n), n - np.arange(n))  # pi(h) per axis
         wrapped = gamma[np.ix_(*[idx] * d)]
         eigs = np.fft.fftn(wrapped).real
@@ -146,8 +147,7 @@ def llr_per_node(y: np.ndarray, sigma2: float, cs1: CirculantSpectrum) -> float:
               + 0.5 sum |yhat_i|^2 (1/lambda_i - 1/sigma2) ]
     with yhat the unitary DFT of y.
     """
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
+    check_positive(sigma2=sigma2)
     y = np.asarray(y, dtype=float)
     size = cs1.eigs.size
     if y.size != size:
@@ -200,16 +200,16 @@ def mc_kli_estimate(
 
 
 @lru_cache(maxsize=1)
-def _signal_gamma_table(kappa: float, zeta: float, cov_grid: int) -> np.ndarray:
-    tab = autocovariance_grid(sfcar_spectrum(SfcarModel(kappa, zeta)), cov_grid)
+def _signal_gamma_table(kappa: float, zeta: float) -> np.ndarray:
+    tab = autocovariance_grid(sfcar_spectrum(SfcarModel(kappa, zeta)), _COV_GRID)
     tab.setflags(write=False)
     return tab
 
 
-def dense_covariance(model: SfcarModel, sigma2: float, n: int, cov_grid: int = 1024) -> np.ndarray:
+def dense_covariance(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """Exact n^2 x n^2 block-Toeplitz covariance of the hidden field on the
     n x n patch, nodes in lexicographic order: sigma2 I + [gamma_{i-j}]."""
-    gamma = _signal_gamma_table(model.kappa, model.zeta, cov_grid)
+    gamma = _signal_gamma_table(model.kappa, model.zeta)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     i, j = ii.ravel(), jj.ravel()
     di = i[:, None] - i[None, :]
@@ -218,9 +218,9 @@ def dense_covariance(model: SfcarModel, sigma2: float, n: int, cov_grid: int = 1
     return sigma
 
 
-def dense_circulant(model: SfcarModel, sigma2: float, n: int, cov_grid: int = 1024) -> np.ndarray:
+def dense_circulant(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """Circulant approximation to dense_covariance: offsets wrapped on the torus."""
-    gamma = _signal_gamma_table(model.kappa, model.zeta, cov_grid)
+    gamma = _signal_gamma_table(model.kappa, model.zeta)
     idx = np.minimum(np.arange(n), n - np.arange(n))
     wrapped = gamma[np.ix_(idx, idx)].copy()
     wrapped[0, 0] += sigma2
@@ -241,7 +241,6 @@ def logdet_convergence(
     model: SfcarModel,
     sigma2: float,
     n_list: list[int],
-    cov_grid: int = 1024,
 ) -> list[tuple[int, float]]:
     """Gap between the per-node log-determinant of the exact block-Toeplitz
     covariance and its spectral limit, for each lattice side in n_list.
@@ -253,13 +252,11 @@ def logdet_convergence(
     for n in n_list:
         if n > _DENSE_LOGDET_MAX:
             raise ValueError(f"dense log-det limited to n <= {_DENSE_LOGDET_MAX}, got {n}")
-        sigma = dense_covariance(model, sigma2, n, cov_grid)
+        sigma = dense_covariance(model, sigma2, n)
         try:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
-            raise NonpositiveEigenvalueError(
-                "dense covariance is not positive definite; increase cov_grid"
-            ) from exc
+            raise NonpositiveEigenvalueError("dense covariance is not positive definite") from exc
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         out.append((n, abs(logdet / n**2 - target)))
     return out
@@ -271,7 +268,6 @@ def quadform_limit_check(
     n: int,
     trials: int,
     seed: int,
-    cov_grid: int = 1024,
 ) -> QuadformCheck:
     """Monte Carlo means of y' Sigma1^{-1} y / n^2 under the noise-only law.
 
@@ -284,13 +280,11 @@ def quadform_limit_check(
     if n > _DENSE_INVERSE_MAX:
         raise ValueError(f"dense inverse limited to n <= {_DENSE_INVERSE_MAX}, got {n}")
     target = _hidden_grid_mean(model, sigma2, lambda lam: sigma2 / lam)
-    sigma = dense_covariance(model, sigma2, n, cov_grid)
+    sigma = dense_covariance(model, sigma2, n)
     try:
         sigma_inv = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:
-        raise NonpositiveEigenvalueError(
-            "dense covariance is not positive definite; increase cov_grid"
-        ) from exc
+        raise NonpositiveEigenvalueError("dense covariance is not positive definite") from exc
     cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
     sd = math.sqrt(sigma2)
     q_dense = np.empty(trials)
@@ -312,7 +306,6 @@ def toeplitz_circulant_gap(
     model: SfcarModel,
     sigma2: float,
     n_list: list[int],
-    cov_grid: int = 1024,
 ) -> list[tuple[int, float]]:
     """Per-node trace norm of (Sigma1 - C), the block-Toeplitz covariance
     minus its circulant approximation, for each side in n_list; O(1/n)."""
@@ -320,7 +313,7 @@ def toeplitz_circulant_gap(
     for n in n_list:
         if n > _DENSE_INVERSE_MAX:
             raise ValueError(f"dense SVD limited to n <= {_DENSE_INVERSE_MAX}, got {n}")
-        diff = dense_covariance(model, sigma2, n, cov_grid) - dense_circulant(model, sigma2, n, cov_grid)
+        diff = dense_covariance(model, sigma2, n) - dense_circulant(model, sigma2, n)
         trace_norm = float(np.linalg.svd(diff, compute_uv=False).sum())
         out.append((n, trace_norm / n**2))
     return out

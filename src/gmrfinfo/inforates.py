@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import check_finite, golden_section_max
+from ._util import check_finite, check_positive, golden_section_max
 from .specfun import _agm, elliptic_k
 from .spectra import SpectralDensity, omega_grid
 
@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 512
+
+# optimal_zeta: points of the coarse zeta scan, and the golden-section bracket
+# width at which the refinement stops (also its snap distance to 0 and 1/4)
+_ZETA_SCAN_POINTS = 101
+_ZETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,9 +123,7 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
     (2 pi)^{-d} integral of the bin-wise Gaussian Kullback-Leibler divergence
     D(N(0, sigma^2) || N(0, (2 pi)^d f1)); nonnegative term by term.
     """
-    check_finite(sigma2=sigma2)
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
+    check_positive(sigma2=sigma2)
     if f1.dim > 3:
         raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
     r = (2.0 * math.pi) ** f1.dim * f1.grid_values(grid) / sigma2
@@ -131,9 +134,7 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
 
 def mi_rate_general(f: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate for a general d-D signal spectrum f (d <= 3)."""
-    check_finite(sigma2=sigma2)
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
+    check_positive(sigma2=sigma2)
     if f.dim > 3:
         raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
     vals = f.grid_values(grid)
@@ -158,28 +159,20 @@ def low_snr_constants(zeta: float) -> LowSnrConstants:
     return LowSnrConstants(c3=m * e_over_k / (4.0 * (1.0 - k) * (1.0 + k)), c3_prime=0.5)
 
 
-def optimal_zeta(
-    snr: float,
-    coarse: int = 101,
-    refine_tol: float = 1e-6,
-    grid: int = DEFAULT_GRID,
-) -> tuple[float, float]:
+def optimal_zeta(snr: float, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     """Edge dependence maximizing the per-node KLI rate at the given SNR.
 
-    Coarse scan over [0, 1/4] (ties resolved toward smaller zeta) followed by
-    golden-section refinement between the neighbors of the best coarse point.
-    Returns (zeta_star, kli_star); a refined point within refine_tol of an
-    interval endpoint snaps to it exactly, and the best coarse point is
-    returned instead where its KLI is higher.
+    Coarse scan of 101 points over [0, 1/4] (ties resolved toward smaller
+    zeta) followed by golden-section refinement between the neighbors of the
+    best coarse point.  Returns (zeta_star, kli_star); a refined point within
+    1e-6 of an interval endpoint snaps to it exactly, and the best coarse
+    point is returned instead where its KLI is higher.
     """
-    if snr <= 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
-    if coarse < 3:
-        raise ValueError("coarse grid needs at least 3 points")
+    check_positive(snr=snr)
 
     def objective(z: float) -> float:
         return kli_rate_sfcar(snr, z, grid)
 
-    zs = np.linspace(0.0, 0.25, coarse)
+    zs = np.linspace(0.0, 0.25, _ZETA_SCAN_POINTS)
     vals = np.array([objective(z) for z in zs])
-    return golden_section_max(objective, zs, vals, abs_tol=refine_tol)
+    return golden_section_max(objective, zs, vals, abs_tol=_ZETA_TOL)

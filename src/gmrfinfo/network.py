@@ -14,7 +14,7 @@ import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import check_finite, golden_section_max, parallel_map
+from ._util import check_finite, check_positive, golden_section_max
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -40,8 +40,18 @@ __all__ = [
     "DensityOptimum",
 ]
 
+# optimal_density: relative golden-section bracket width at which the refinement stops
+_DENSITY_REL_TOL = 1e-4
+
+
 class InfeasibleEnergyError(ValueError):
     """The energy budget cannot cover the required communication energy."""
+
+
+def _check_nu(nu: float) -> None:
+    check_finite(nu=nu)
+    if nu < 2.0:
+        raise ValueError(f"nu must be >= 2, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -66,17 +76,11 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        check_finite(dn=self.dn, es=self.es, e0=self.e0, nu=self.nu, beta=self.beta)
-        if self.dn <= 0.0:
-            raise ValueError(f"dn must be positive, got {self.dn!r}")
+        check_positive(dn=self.dn, e0=self.e0, beta=self.beta)
+        check_finite(es=self.es)
         if self.es < 0.0:
             raise ValueError(f"es must be >= 0, got {self.es!r}")
-        if self.e0 <= 0.0:
-            raise ValueError(f"e0 must be positive, got {self.e0!r}")
-        if self.nu < 2.0:
-            raise ValueError(f"nu must be >= 2, got {self.nu!r}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        _check_nu(self.nu)
         PhysicalField(self.alpha)  # validates alpha
 
     @property
@@ -197,16 +201,13 @@ def sweep_fixed_density(
     n_list: Sequence[int],
     measure: str = "kli",
     grid: int = DEFAULT_GRID,
-    threads: int = 1,
 ) -> FixedDensitySweep:
     """Grow the coverage area at fixed spacing and sensing energy.
 
     Fits log(efficiency) against log(area) and log(total info) against
     log(total energy) over the retained (largest) points.
     """
-    reports = tuple(
-        parallel_map(lambda n: network_report(replace(cfg, n=n), measure, grid), n_list, threads)
-    )
+    reports = tuple(network_report(replace(cfg, n=n), measure, grid) for n in n_list)
     area = [r.n**2 * r.dn**2 for r in reports]
     return FixedDensitySweep(
         reports=reports,
@@ -337,12 +338,11 @@ def sweep_infinite_density(
     grid: int = DEFAULT_GRID,
 ) -> DensitySweep:
     """Per-node information versus node density on a fixed L x L area at fixed SNR."""
-    if L <= 0.0:
-        raise ValueError(f"L must be positive, got {L!r}")
+    check_positive(L=L)
     field = PhysicalField(alpha)
     mus = sorted(mu_list)
-    if mus[0] <= 0.0:
-        raise ValueError("densities must be positive")
+    if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
+        raise ValueError("densities must be finite and positive")
     rates = [_per_node_rate(snr, zeta_from_spacing(field, 1.0 / math.sqrt(mu)), measure, grid) for mu in mus]
     products = [mu * r for mu, r in zip(mus, rates)]
     top = [p for mu, p in zip(mus, products) if mu >= mus[-1] / 10.0]
@@ -377,6 +377,8 @@ def sweep_energy_fixed_all(
     """
     comm = hop_sum(cfg.n) * cfg.e0 * cfg.dn**cfg.nu
     ets = sorted(et_list)
+    for et in ets:
+        check_finite(et=et)
     if ets[0] <= comm:
         raise InfeasibleEnergyError(
             f"total energy {ets[0]:.6g} J is below the communication floor {comm:.6g} J"
@@ -409,7 +411,6 @@ def optimal_density(
     measure: str = "kli",
     mu_grid: Sequence[float] | None = None,
     grid: int = DEFAULT_GRID,
-    refine_rel_tol: float = 1e-4,
 ) -> DensityOptimum:
     """Density maximizing total information on an L x L area under budget et.
 
@@ -421,6 +422,8 @@ def optimal_density(
     the refined point is lower; interior local maxima of the grid curve are
     reported alongside.
     """
+    check_positive(L=L, et=et, beta=beta, e0=e0)
+    _check_nu(nu)
     if mu_grid is None:
         mu_grid = np.logspace(-1, 4, 201)
     field = PhysicalField(alpha)
@@ -438,8 +441,8 @@ def optimal_density(
         return n**2 * _per_node_rate(snr, zeta, measure, grid)
 
     mus = np.sort(np.asarray(mu_grid, dtype=float))
-    if mus[0] <= 0.0:
-        raise ValueError("densities must be positive")
+    if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
+        raise ValueError("densities must be finite and positive")
     infos = np.array([evaluate(mu) for mu in mus])
     feasible = np.isfinite(infos)
     if not feasible.any():
@@ -451,7 +454,7 @@ def optimal_density(
         if infos_f[i] > infos_f[i - 1] and infos_f[i] >= infos_f[i + 1]:
             maxima.append((float(mus_f[i]), float(infos_f[i])))
 
-    mu_star, info_star = golden_section_max(evaluate, mus_f, infos_f, rel_tol=refine_rel_tol)
+    mu_star, info_star = golden_section_max(evaluate, mus_f, infos_f, rel_tol=_DENSITY_REL_TOL)
     return DensityOptimum(
         mu_star=mu_star,
         info_star=info_star,

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import check_finite
+from ._util import check_finite, check_positive
 from .specfun import elliptic_k
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# side of the grid on which car_spectrum checks the CAR denominator is positive
+_CAR_CHECK_GRID = 128
 
 
 class InvalidModelError(ValueError):
@@ -114,15 +117,17 @@ class SpectralDensity:
 
 def omega_grid(n: int) -> np.ndarray:
     """Uniform angular grid -pi + 2*pi*i/n, i = 0..n-1 (periodic rectangle rule)."""
+    if n < 1:
+        raise ValueError(f"grid must be >= 1, got {n!r}")
     return -math.pi + TWO_PI * np.arange(n) / n
 
 
-def car_spectrum(model: CarModel, validate_grid: int = 128) -> SpectralDensity:
+def car_spectrum(model: CarModel) -> SpectralDensity:
     """Spectral density f = (2*pi)^{-2} / sum_ij theta_ij exp(-i(i*w1 + j*w2)).
 
     The symmetric support makes the denominator a real cosine sum.  Raises
     InvalidModelError if the denominator is not strictly positive on the
-    validation grid (the stationarity condition fails).
+    128 x 128 validation grid (the stationarity condition fails).
     """
     offsets = [(i, j, v) for (i, j), v in model.theta.items()]
 
@@ -132,7 +137,7 @@ def car_spectrum(model: CarModel, validate_grid: int = 128) -> SpectralDensity:
             denom += v * np.cos(i * np.asarray(w1) + j * np.asarray(w2))
         return 1.0 / (4.0 * math.pi**2 * denom)
 
-    w = omega_grid(validate_grid)
+    w = omega_grid(_CAR_CHECK_GRID)
     w1, w2 = np.meshgrid(w, w, indexing="ij")
     denom = np.zeros_like(w1)
     for i, j, v in offsets:
@@ -181,9 +186,7 @@ def signal_power(model: SfcarModel) -> float:
 
 def measurement_snr(model: SfcarModel, sigma2: float) -> float:
     """Measurement SNR = P / sigma^2 for observation noise variance sigma^2."""
-    check_finite(sigma2=sigma2)
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
+    check_positive(sigma2=sigma2)
     return signal_power(model) / sigma2
 
 
@@ -192,9 +195,8 @@ def sfcar_for_snr(snr: float, zeta: float, sigma2: float = 1.0) -> SfcarModel:
 
     Inverts SNR = 2 K(4 zeta) / (pi kappa sigma^2) for kappa.
     """
-    check_finite(snr=snr, zeta=zeta, sigma2=sigma2)
-    if snr <= 0.0:
-        raise ValueError("snr must be positive to pin a model power")
+    check_positive(snr=snr, sigma2=sigma2)
+    check_finite(zeta=zeta)
     if not 0.0 <= zeta < 0.25:
         raise SingularModelError("no finite-power model exists at zeta = 1/4")
     kappa = 2.0 * elliptic_k(4.0 * zeta) / (math.pi * snr * sigma2)
@@ -203,9 +205,7 @@ def sfcar_for_snr(snr: float, zeta: float, sigma2: float = 1.0) -> SfcarModel:
 
 def hidden_spectrum(signal: SpectralDensity, sigma2: float) -> SpectralDensity:
     """Observation spectrum f1 = sigma^2/(2 pi)^d + f for signal-plus-noise."""
-    check_finite(sigma2=sigma2)
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2!r}")
+    check_positive(sigma2=sigma2)
     noise_level = sigma2 / TWO_PI**signal.dim
     inner = signal.evaluator
 

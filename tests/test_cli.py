@@ -101,14 +101,6 @@ class TestSweepZeta:
         run(capsys, "sweep-zeta", "--snr-db", "0", "--points", "11", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_invariant(self, capsys, tmp_path):
-        a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        run(capsys, "sweep-zeta", "--snr-db", "3", "--points", "15",
-            "--threads", "1", "--output", str(a))
-        run(capsys, "sweep-zeta", "--snr-db", "3", "--points", "15",
-            "--threads", "4", "--output", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestMetadata:
     def test_sidecar_contents(self, capsys, tmp_path):
@@ -175,14 +167,13 @@ class TestConfigFile:
 
 class TestFlagScope:
     SEED = {"mc-verify"}
-    THREADS = {"sweep-zeta", "sweep-snr", "optimal-zeta", "scaling"}
 
     def test_flags_only_where_read(self):
         _, commands = build_parser()
         for name, sub in commands.items():
             flags = {opt for action in sub._actions for opt in action.option_strings}
             assert ("--seed" in flags) == (name in self.SEED), name
-            assert ("--threads" in flags) == (name in self.THREADS), name
+            assert "--threads" not in flags, name
 
     @pytest.mark.parametrize("argv", [
         ["rates", "--snr-db", "0", "--zeta", "0.1", "--seed", "5"],
@@ -195,7 +186,69 @@ class TestFlagScope:
         assert "unrecognized arguments" in err
 
 
+# A cheap valid run of every command; the error-path cases append one flag to it.
+BASE_ARGV = {
+    "rates": ["--snr-db", "0", "--zeta", "0.1"],
+    "sweep-zeta": ["--snr-db", "0", "--points", "3"],
+    "sweep-snr": ["--zeta", "0.1", "--points", "3"],
+    "optimal-zeta": ["--snr-db-min", "0", "--snr-db-max", "1", "--step-db", "1"],
+    "mc-verify": ["--snr-db", "0", "--zeta", "0.1", "--n", "8", "--trials", "30"],
+    "scaling": ["--n-list", "9", "17"],
+    "spacing": ["--snr-db", "0", "--points", "3"],
+    "density": ["--snr-db", "0", "--points", "3"],
+    "energy": ["--et-list", "1e4", "1e5"],
+    "optimal-density": ["--L", "2", "--Et", "50", "--alpha", "100", "--beta", "1",
+                        "--E0", "0.1", "--nu", "2", "--points", "5"],
+}
+
+
+def _float_flags():
+    _, commands = build_parser()
+    assert set(commands) == set(BASE_ARGV)
+    return [(name, opt) for name, sub in commands.items() for action in sub._actions
+            if action.type is float for opt in action.option_strings]
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_base_argv_runs(self, capsys, command):
+        code, err = run_exit(capsys, command, *BASE_ARGV[command], "--grid", "16")
+        assert code == 0, err
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # linspace of inf
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", _float_flags())
+    def test_nonfinite_float_flag_is_error(self, capsys, command, flag, value):
+        code, err = run_exit(capsys, command, *BASE_ARGV[command], "--grid", "16", f"{flag}={value}")
+        assert code == 2
+        assert any(line.startswith("error:") for line in err.splitlines()), err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mc-verify", "--snr-db", "0", "--zeta", "0.1", "--sigma2=0"], "sigma2 must be positive, got 0.0"),
+        (["mc-verify", "--snr-db", "0", "--zeta", "0.1", "--sigma2=-1"], "sigma2 must be positive, got -1.0"),
+        (["optimal-zeta", "--step-db", "0"], "--step-db must be positive, got 0.0"),
+        (["optimal-zeta", "--step-db=-0.5"], "--step-db must be positive, got -0.5"),
+        (["optimal-zeta", "--snr-db-min", "inf"], "--snr-db-min must be finite, got inf"),
+        (["optimal-zeta", "--snr-db-max=-inf"], "--snr-db-max must be finite, got -inf"),
+        (["rates", "--snr-db=-inf", "--zeta", "0.1"], "--snr-db must be finite, got -inf"),
+        (["rates", "--snr-db", "0", "--zeta", "0.1", "--grid", "0"], "grid must be >= 1, got 0"),
+        (["density", "--snr-db", "0", "--L", "nan"], "L must be finite, got nan"),
+        (["density", "--snr-db", "0", "--mu-min", "0"], "--mu-min must be positive, got 0.0"),
+        (["optimal-density", "--L", "2", "--Et", "50", "--alpha", "100", "--beta", "1",
+          "--E0", "0.1", "--nu=-inf"], "nu must be finite, got -inf"),
+    ])
+    def test_bad_input_is_one_named_error_line(self, capfd, argv, message):
+        code = main(argv)
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_snr_linear_zero_still_means_zero_snr(self, capsys):
+        code, out, _ = run(capsys, "rates", "--snr-linear", "0", "--zeta", "0.1")
+        assert code == 0
+        assert out.startswith("kli=0 mi=0 ")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_spacing_is_one_error_line(self, capfd, value):
         code = main(["scaling", "--n-list", "17", "33", f"--dn={value}"])
@@ -242,12 +295,3 @@ class TestAllCommands:
         lines = path.read_text().splitlines()
         assert len(lines) >= 2
         assert (tmp_path / "out.csv.meta.json").exists()
-
-    def test_threads_env_default(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "env.csv", tmp_path / "flag.csv"
-        monkeypatch.setenv("GMRFINFO_THREADS", "3")
-        run(capsys, "sweep-zeta", "--snr-db", "0", "--points", "9", "--output", str(a))
-        monkeypatch.delenv("GMRFINFO_THREADS")
-        run(capsys, "sweep-zeta", "--snr-db", "0", "--points", "9",
-            "--threads", "3", "--output", str(b))
-        assert a.read_bytes() == b.read_bytes()

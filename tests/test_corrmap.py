@@ -96,7 +96,7 @@ class TestZetaFromRho:
         assert 1e-4 < zeta < 1.1e-4  # just above the old series seam
         assert abs(zeta - zeta_mp(rho)) <= 1e-12
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.floats(min_value=0.0, max_value=0.6))
     def test_roundtrip_property(self, rho):
         assert rho_from_zeta(zeta_from_rho(rho)) == pytest.approx(rho, abs=1e-10)

@@ -119,6 +119,12 @@ class TestLlr:
                  + 0.5 * (flat @ np.linalg.solve(c1, flat) - flat @ flat / sigma2)) / n**2
         assert llr_per_node(y, sigma2, cs1) == pytest.approx(dense, abs=1e-8)
 
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+    def test_nonfinite_sigma2_rejected(self, sigma2):
+        cs = circulant_eigs(constant_spectrum(1.0 / FOUR_PI2), 8)
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            llr_per_node(np.zeros((8, 8)), sigma2, cs)
+
     def test_length_mismatch(self):
         cs = circulant_eigs(constant_spectrum(1.0 / FOUR_PI2), 8)
         with pytest.raises(ValueError):

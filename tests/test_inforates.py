@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmrfinfo.inforates import (
     kli_rate_general,
@@ -20,6 +22,9 @@ from gmrfinfo.inforates import (
 from gmrfinfo.spectra import constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr, sfcar_spectrum
 
 FOUR_PI2 = 4.0 * math.pi**2
+
+SNRS = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)  # [1e-6, 1e6]
+ZETAS = st.floats(min_value=0.0, max_value=0.2499)
 
 
 def c3_grid(zeta: float, grid: int = 2048) -> float:
@@ -84,6 +89,12 @@ class TestSfcarRates:
         for snr in (math.nan, math.inf):
             with pytest.raises(ValueError, match="snr must be finite"):
                 kli_rate_sfcar(snr, 0.1)
+
+    @pytest.mark.parametrize("rate", [kli_rate_sfcar, mi_rate_sfcar, sfcar_info_rates])
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_empty_grid_rejected(self, rate, grid):
+        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}"):
+            rate(1.0, 0.1, grid)
 
     @pytest.mark.parametrize("snr,zeta", [(1.0, 0.1), (0.5, 0.25 - 1e-6), (1e-3, 0.2),
                                           (1e6, 0.1), (1e-3, 0.25 - 1e-6), (1e6, 0.25 - 1e-6),
@@ -211,6 +222,21 @@ class TestOrderingAndHighSnr:
                 assert 0.0 <= k <= m + 1e-15
                 if zeta < 0.25:
                     assert k < m
+
+    @settings(max_examples=100)
+    @given(SNRS, ZETAS)
+    def test_kli_between_zero_and_mi_property(self, snr, zeta):
+        k = kli_rate_sfcar(snr, zeta, 32)
+        m = mi_rate_sfcar(snr, zeta, 32)
+        assert 0.0 <= k <= m
+
+    @settings(max_examples=100)
+    @given(SNRS, st.floats(min_value=1e-3, max_value=3.0), ZETAS)
+    def test_nondecreasing_in_snr_property(self, snr, log10_step, zeta):
+        # steps of at least 1e-3 decades stay far above the kernel's rounding
+        higher = min(snr * 10.0**log10_step, 1e6)
+        assert kli_rate_sfcar(higher, zeta, 32) >= kli_rate_sfcar(snr, zeta, 32)
+        assert mi_rate_sfcar(higher, zeta, 32) >= mi_rate_sfcar(snr, zeta, 32)
 
     def test_monotone_in_snr(self):
         for zeta in (0.0, 0.12, 0.24):

@@ -17,6 +17,7 @@ from gmrfinfo.spectra import (
     constant_spectrum,
     hidden_spectrum,
     measurement_snr,
+    omega_grid,
     sfcar_for_snr,
     sfcar_spectrum,
     signal_power,
@@ -151,6 +152,11 @@ class TestAutocovariance:
         with pytest.raises(SingularSpectrumError):
             autocovariance(spec, (0, 0), 128)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_omega_grid_rejected(self, n):
+        with pytest.raises(ValueError, match=f"grid must be >= 1, got {n}"):
+            omega_grid(n)
+
     def test_grid_validation(self):
         spec = constant_spectrum(1.0)
         with pytest.raises(ValueError):
@@ -183,6 +189,11 @@ class TestSnrHelpers:
         with pytest.raises(ValueError, match="sigma2 must be finite"):
             hidden_spectrum(sfcar_spectrum(model), value)
         with pytest.raises(ValueError, match="sigma2 must be finite"):
+            sfcar_for_snr(1.0, 0.1, sigma2=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_sfcar_for_snr_nonpositive_sigma2_named(self, value):
+        with pytest.raises(ValueError, match=f"sigma2 must be positive, got {value!r}"):
             sfcar_for_snr(1.0, 0.1, sigma2=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
