@@ -72,13 +72,21 @@ def _write_metadata(path: str, command: str, config: dict, extras: dict) -> None
         fh.write("\n")
 
 
+def _snr_from_db(db: float, flag: str) -> float:
+    """The linear SNR 10^(db/10); ``flag`` names the option blamed when it overflows."""
+    check_finite(**{flag: db})
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{flag} is too large: its linear SNR overflows a float") from None
+
+
 def _snr_linear(args) -> float:
     if args.snr_linear is not None:
         return args.snr_linear
     if args.snr_db is None:
         raise ValueError("one of --snr-db or --snr-linear is required")
-    check_finite(**{"--snr-db": args.snr_db})
-    return 10.0 ** (args.snr_db / 10.0)
+    return _snr_from_db(args.snr_db, "--snr-db")
 
 
 def _mu_grid(args) -> np.ndarray:
@@ -249,10 +257,13 @@ def _run_sweep_zeta(args):
 
 def _run_sweep_snr(args):
     check_finite(**{"--snr-db-min": args.snr_db_min, "--snr-db-max": args.snr_db_max})
-    dbs = np.linspace(args.snr_db_min, args.snr_db_max, args.points)
-    pairs = [_sfcar_rates(10 ** (db / 10), args.zeta, args.grid) for db in dbs]
-    rows = [{"snr_db": float(db), "snr": 10 ** (float(db) / 10), "kli": k, "mi": m}
-            for db, (k, m) in zip(dbs, pairs)]
+    dbs = [float(db) for db in np.linspace(args.snr_db_min, args.snr_db_max, args.points)]
+    # 10^(db/10) rises with db, so only the larger end's flag can be too large
+    top = "--snr-db-max" if args.snr_db_max >= args.snr_db_min else "--snr-db-min"
+    snrs = [_snr_from_db(db, top) for db in dbs]
+    pairs = [_sfcar_rates(snr, args.zeta, args.grid) for snr in snrs]
+    rows = [{"snr_db": db, "snr": snr, "kli": k, "mi": m}
+            for db, snr, (k, m) in zip(dbs, snrs, pairs)]
     print(f"swept {len(rows)} SNR points at zeta={args.zeta}")
     return rows, ["snr_db", "snr", "kli", "mi"], {}
 
@@ -260,9 +271,12 @@ def _run_sweep_snr(args):
 def _run_optimal_zeta(args):
     check_finite(**{"--snr-db-min": args.snr_db_min, "--snr-db-max": args.snr_db_max})
     check_positive(**{"--step-db": args.step_db})
+    if args.snr_db_max < args.snr_db_min:
+        raise ValueError(f"--snr-db-max ({args.snr_db_max!r}) is below --snr-db-min ({args.snr_db_min!r})")
     steps = int(round((args.snr_db_max - args.snr_db_min) / args.step_db)) + 1
     dbs = [args.snr_db_min + i * args.step_db for i in range(steps)]
-    results = [optimal_zeta(10 ** (db / 10), grid=args.grid) for db in dbs]
+    snrs = [_snr_from_db(db, "--snr-db-max") for db in dbs]
+    results = [optimal_zeta(snr, grid=args.grid) for snr in snrs]
     rows = [{"snr_db": db, "zeta_star": z, "kli_star": v}
             for db, (z, v) in zip(dbs, results)]
     print(f"optimal zeta over {len(rows)} SNR points")
@@ -369,6 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
+        if "points" in vars(args):
+            check_positive(**{"--points": args.points})
         rows, schema, extras = _RUNNERS[args.command](args)
         if args.output:
             emit_plotdata(rows, schema, args.output)

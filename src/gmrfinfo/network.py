@@ -133,6 +133,16 @@ def total_energy(cfg: NetworkConfig) -> float:
     return cfg.n**2 * cfg.es + links * cfg.e0 * cfg.dn**cfg.nu
 
 
+def _sorted_densities(mu_list: Sequence[float]) -> list[float]:
+    """mu_list ascending; ValueError if it is empty or a density is not finite and positive."""
+    mus = sorted(mu_list)
+    if not mus:
+        raise ValueError("densities must not be empty")
+    if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
+        raise ValueError("densities must be finite and positive")
+    return mus
+
+
 def _per_node_rate(snr: float, zeta: float, measure: str, grid: int) -> float:
     if measure == "kli":
         return kli_rate_sfcar(snr, zeta, grid)
@@ -300,6 +310,8 @@ def sweep_spacing(
     field = PhysicalField(cfg.alpha)
     limit = _decorrelated_limit(snr, measure)
     dns = sorted(dn_list)
+    for d in dns:
+        check_positive(spacing=float(d))
     rates = [_per_node_rate(snr, zeta_from_spacing(field, d), measure, grid) for d in dns]
     xs, ys = [], []
     for d, r in zip(dns, rates):
@@ -340,9 +352,7 @@ def sweep_infinite_density(
     """Per-node information versus node density on a fixed L x L area at fixed SNR."""
     check_positive(L=L)
     field = PhysicalField(alpha)
-    mus = sorted(mu_list)
-    if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
-        raise ValueError("densities must be finite and positive")
+    mus = _sorted_densities(mu_list)
     rates = [_per_node_rate(snr, zeta_from_spacing(field, 1.0 / math.sqrt(mu)), measure, grid) for mu in mus]
     products = [mu * r for mu, r in zip(mus, rates)]
     top = [p for mu, p in zip(mus, products) if mu >= mus[-1] / 10.0]
@@ -440,9 +450,7 @@ def optimal_density(
         zeta = zeta_from_spacing(field, dn)
         return n**2 * _per_node_rate(snr, zeta, measure, grid)
 
-    mus = np.sort(np.asarray(mu_grid, dtype=float))
-    if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
-        raise ValueError("densities must be finite and positive")
+    mus = np.asarray(_sorted_densities(mu_grid), dtype=float)
     infos = np.array([evaluate(mu) for mu in mus])
     feasible = np.isfinite(infos)
     if not feasible.any():

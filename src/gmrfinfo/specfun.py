@@ -8,17 +8,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["elliptic_k", "elliptic_e", "bessel_k1"]
 
-_EULER_GAMMA = 0.5772156649015328606
-
-# bessel_k1 branch seams.  The ascending series starts cancelling badly past
-# x ~ 4 (the log(x/2) I1(x) term dwarfs the result), and the large-x expansion
-# only reaches ~1e-8 truncation error at x = 10, so the midrange is covered by
-# direct quadrature of the integral representation.  Both seams are tested to
-# 1e-10 agreement.
-_K1_SERIES_MAX = 2.0
-_K1_ASYMPTOTIC_MIN = 15.0
+# Below this, K1(x) = 1/x to double precision: the next term, (x/2) ln(x/2), is
+# under 1e-16 of it.
+_K1_RECIPROCAL_MAX = 1e-9
 
 
 def _agm(k: float) -> tuple[float, float, float]:
@@ -65,68 +61,20 @@ def elliptic_e(k: float) -> float:
 def bessel_k1(x: float) -> float:
     """Modified Bessel function of the second kind, order 1, for x > 0.
 
-    Three branches: ascending series for x <= 2, quadrature of
-    integral_0^inf exp(-x cosh t) cosh t dt for 2 < x < 15, and the
-    sqrt(pi/(2x)) e^{-x} (1 + 3/(8x) + ...) expansion for x >= 15.
+    K1(x) = e^{-x} integral_0^inf (1 + s) e^{-x s} dt with s = cosh t - 1,
+    formed as 2 sinh^2(t/2) so it never cancels.  The integrand is even in t
+    and decays double-exponentially, so the trapezoid rule with step
+    h = min(0.05, 0.5/sqrt(x)) converges exponentially; it stops at x s = 745,
+    where the exponential underflows.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"bessel_k1 requires x > 0, got {x!r}")
-    if x <= _K1_SERIES_MAX:
-        return _k1_series(x)
-    if x < _K1_ASYMPTOTIC_MIN:
-        return _k1_integral(x)
-    return _k1_asymptotic(x)
-
-
-def _k1_series(x: float) -> float:
-    # K1(x) = 1/x + ln(x/2) I1(x)
-    #         - (x/4) sum_m [psi(m+1) + psi(m+2)] (x^2/4)^m / (m! (m+1)!)
-    t = 0.25 * x * x
-    log_half_x = math.log(0.5 * x)
-    term = 1.0            # (x^2/4)^m / (m! (m+1)!)
-    i1_sum = term
-    psi_a = -_EULER_GAMMA        # psi(m+1)
-    psi_b = 1.0 - _EULER_GAMMA   # psi(m+2)
-    psi_sum = (psi_a + psi_b) * term
-    for m in range(1, 60):
-        term *= t / (m * (m + 1))
-        psi_a += 1.0 / m
-        psi_b += 1.0 / (m + 1)
-        i1_sum += term
-        psi_sum += (psi_a + psi_b) * term
-        if term < 1e-18 * i1_sum:
-            break
-    i1 = 0.5 * x * i1_sum
-    return 1.0 / x + log_half_x * i1 - 0.25 * x * psi_sum
-
-
-def _k1_integral(x: float) -> float:
-    # Trapezoid rule on g(t) = exp(-x cosh t) cosh t.  g is even with
-    # double-exponential decay, so the uniform rule converges like a
-    # double-exponential quadrature; h = 0.05 is far below machine precision.
-    h = 0.05
-    t_max = math.acosh(720.0 / x)  # exp underflows past here
-    n = int(t_max / h) + 1
-    total = 0.5  # t = 0 endpoint: cosh 0 * exp(-x) / exp(-x), weight 1/2
-    for i in range(1, n + 1):
-        c = math.cosh(i * h)
-        total += c * math.exp(-x * (c - 1.0))
-    return h * total * math.exp(-x)
-
-
-def _k1_asymptotic(x: float) -> float:
-    # K1(x) ~ sqrt(pi/(2x)) e^{-x} sum_m a_m / x^m with
-    # a_m = prod_{j<=m} (4 - (2j-1)^2) / (8j); the series is summed to its
-    # smallest term.
-    term = 1.0
-    total = 1.0
-    prev = math.inf
-    for m in range(1, 40):
-        term *= (4.0 - (2.0 * m - 1.0) ** 2) / (8.0 * m * x)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
+    if x < _K1_RECIPROCAL_MAX:
+        return 1.0 / x
+    scale = math.exp(-x)
+    if scale == 0.0:  # K1(x) < sqrt(pi / (2 x)) e^{-x} underflows
+        return 0.0
+    h = min(0.05, 0.5 / math.sqrt(x))
+    t_max = 2.0 * math.asinh(math.sqrt(372.5 / x))
+    s = 2.0 * np.sinh(np.arange(int(t_max / h) + 1) * (0.5 * h)) ** 2
+    return h * (float(((1.0 + s) * np.exp(-x * s)).sum()) - 0.5) * scale  # t = 0 weighs 1/2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,9 @@ class TestErrorPaths:
         (["density", "--snr-db", "0", "--mu-min", "0"], "--mu-min must be positive, got 0.0"),
         (["optimal-density", "--L", "2", "--Et", "50", "--alpha", "100", "--beta", "1",
           "--E0", "0.1", "--nu=-inf"], "nu must be finite, got -inf"),
+        (["optimal-zeta", "--snr-db-min", "2", "--snr-db-max", "1"],
+         "--snr-db-max (1.0) is below --snr-db-min (2.0)"),
+        (["spacing", "--snr-db", "0", "--dn-min", "0", "--points", "3"], "spacing must be positive, got 0.0"),
     ])
     def test_bad_input_is_one_named_error_line(self, capfd, argv, message):
         code = main(argv)
@@ -243,6 +247,32 @@ class TestErrorPaths:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["rates", "--snr-db", "4000", "--zeta", "0.1"], "--snr-db"),
+        (["mc-verify", "--snr-db", "4000", "--zeta", "0.1"], "--snr-db"),
+        (["optimal-zeta", "--snr-db-min", "4000", "--snr-db-max", "4000"], "--snr-db-max"),
+        (["sweep-snr", "--zeta", "0.1", "--snr-db-max", "4000"], "--snr-db-max"),
+        (["sweep-snr", "--zeta", "0.1", "--snr-db-min", "4000", "--snr-db-max", "0"], "--snr-db-min"),
+    ])
+    def test_overflowing_snr_db_is_named(self, capfd, argv, flag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} is too large: its linear SNR overflows a float\n"
+
+    @pytest.mark.parametrize("command", ["sweep-zeta", "sweep-snr", "spacing", "density",
+                                         "optimal-density"])
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_is_named(self, capfd, command, points):
+        code = main([command, *BASE_ARGV[command], "--points", points])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --points must be positive, got {points}\n"
 
     def test_snr_linear_zero_still_means_zero_snr(self, capsys):
         code, out, _ = run(capsys, "rates", "--snr-linear", "0", "--zeta", "0.1")

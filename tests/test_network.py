@@ -153,6 +153,16 @@ class TestSpacing:
         sweep = sweep_spacing(BASE, list(np.linspace(3.0, 8.0, 11)))
         assert sweep.alpha_estimate == pytest.approx(BASE.alpha, rel=0.1)
 
+    @pytest.mark.parametrize("dn,message", [
+        (0.0, "spacing must be positive, got 0.0"),
+        (-1.0, "spacing must be positive, got -1.0"),
+        (math.nan, "spacing must be finite, got nan"),
+        (math.inf, "spacing must be finite, got inf"),
+    ])
+    def test_bad_spacing_rejected(self, dn, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_spacing(BASE, [1.0, dn])
+
 
 class TestInfiniteDensity:
     def test_products_increase_but_rate_decays(self):
@@ -190,6 +200,10 @@ class TestInfiniteDensity:
     def test_bad_density_rejected(self, mu):
         with pytest.raises(ValueError, match="densities must be finite and positive"):
             sweep_infinite_density(4.0, [1.0, mu], "kli", 1.0, 1.0)
+
+    def test_empty_densities_rejected(self):
+        with pytest.raises(ValueError, match="densities must not be empty"):
+            sweep_infinite_density(4.0, [], "kli", 1.0, 1.0)
 
     def test_mi_products_also_drift_up(self):
         sweep = sweep_infinite_density(4.0, list(np.logspace(-1, 1, 10)), "mi", 1.0, 1.0)
@@ -269,6 +283,10 @@ class TestOptimalDensity:
     def test_bad_density_rejected(self, mu):
         with pytest.raises(ValueError, match="densities must be finite and positive"):
             optimal_density(**self.ARGS, mu_grid=[1.0, mu])
+
+    def test_empty_densities_rejected(self):
+        with pytest.raises(ValueError, match="densities must not be empty"):
+            optimal_density(**self.ARGS, mu_grid=[])
 
     def test_kli_tail_inverse_density(self):
         mus = np.logspace(math.log10(50), math.log10(2000), 20)

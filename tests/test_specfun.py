@@ -1,5 +1,5 @@
 """Special functions against adaptive-quadrature and mpmath oracles, plus
-endpoint and branch-seam behavior."""
+endpoint and old branch-seam behavior."""
 
 import math
 import warnings
@@ -10,14 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
-from gmrfinfo.specfun import (
-    _k1_asymptotic,
-    _k1_integral,
-    _k1_series,
-    bessel_k1,
-    elliptic_e,
-    elliptic_k,
-)
+from gmrfinfo.specfun import bessel_k1, elliptic_e, elliptic_k
 
 # Moduli for the mpmath oracles: a uniform grid, a log-spaced approach to the
 # k = 1 pole, and the old seam of elliptic_k's log asymptote at 1 - 1e-12.
@@ -131,10 +124,21 @@ def test_bessel_k1_oracle_grid():
         assert bessel_k1(float(x)) == pytest.approx(bessel_k1_oracle(float(x)), rel=1e-9)
 
 
-def test_bessel_k1_branch_seams():
-    # the two representations on either side of each switch agree at the seam
-    assert _k1_series(2.0) == pytest.approx(_k1_integral(2.0), rel=1e-10)
-    assert _k1_integral(15.0) == pytest.approx(_k1_asymptotic(15.0), rel=1e-10)
+def test_bessel_k1_matches_mpmath():
+    # log-spaced over the range K1 is finite and normal in, plus both sides of the
+    # seams an earlier three-branch version switched at (x = 2 and x = 15) and of
+    # the 1/x switch at 1e-9
+    xs = [float(x) for x in np.logspace(-300, math.log10(700.0), 600)]
+    xs += [2.0 - 1e-7, 2.0 + 1e-7, 15.0 - 1e-4, 15.0 + 1e-4, 1e-9 * (1 - 1e-12), 1e-9 * (1 + 1e-12)]
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.besselk(1, mpmath.mpf(x))
+            assert abs((bessel_k1(x) - ref) / ref) <= 2e-15, x
+
+
+@pytest.mark.parametrize("x", [745.0, 1e308, math.inf])
+def test_bessel_k1_underflows_to_zero(x):
+    assert bessel_k1(x) == 0.0
 
 
 def test_bessel_k1_strictly_decreasing_positive():
@@ -144,7 +148,7 @@ def test_bessel_k1_strictly_decreasing_positive():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
 def test_bessel_k1_domain(x):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bessel_k1 requires x > 0"):
         bessel_k1(x)
