@@ -1,4 +1,4 @@
-"""Small shared helpers: input validation and golden-section search."""
+"""Small shared helpers: input validation, bisection and golden-section search."""
 
 from __future__ import annotations
 
@@ -23,6 +23,14 @@ def check_positive(**values: float) -> None:
         check_finite(**{name: value})
         if value <= 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve ``[lo, hi]``, keeping ``pred`` true at ``lo`` and false at ``hi``, until
+    ``hi - lo <= tol`` or the midpoint rounds to an end; returns the final ``(lo, hi)``."""
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo, hi
 
 
 def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarray,

@@ -32,6 +32,7 @@ __all__ = ["main", "emit_plotdata", "DEFAULT_SEED"]
 
 # Fixed default seed so that every run is reproducible unless overridden.
 DEFAULT_SEED = 1729
+_MAX_ZETA_SOLVES = 10**6  # most SNR points (one optimal_zeta solve each) an optimal-zeta run may ask for
 
 
 def emit_plotdata(rows: Sequence[dict], schema: Sequence[str], path: str) -> None:
@@ -216,6 +217,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     pre.add_argument("--config", nargs="?")  # a missing path is left to the full parse
     path = pre.parse_known_args(argv)[0].config
     command = commands.get(argv[0]) if argv else None
+    snr = {}
     if path is not None and command is not None:
         with open(path) as fh:
             values = json.load(fh)
@@ -233,8 +235,18 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                     values[key] = [action.type(v) for v in value] if action.nargs else action.type(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
+        # the file's SNR applies only where neither SNR flag is given
+        snr = {key: values.pop(key) for key in ("snr_db", "snr_linear") if key in values}
+        if len(snr) > 1:
+            raise ValueError(f"config file {path} sets both snr_db and snr_linear; give one")
         command.set_defaults(**values)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if "snr_db" in vars(args):  # the command reads an SNR
+        if args.snr_db is not None and args.snr_linear is not None:
+            raise ValueError("give one of --snr-db and --snr-linear, not both")
+        if args.snr_db is None and args.snr_linear is None:
+            vars(args).update(snr)
+    return args
 
 
 def _run_rates(args):
@@ -273,8 +285,10 @@ def _run_optimal_zeta(args):
     check_positive(**{"--step-db": args.step_db})
     if args.snr_db_max < args.snr_db_min:
         raise ValueError(f"--snr-db-max ({args.snr_db_max!r}) is below --snr-db-min ({args.snr_db_min!r})")
-    steps = int(round((args.snr_db_max - args.snr_db_min) / args.step_db)) + 1
-    dbs = [args.snr_db_min + i * args.step_db for i in range(steps)]
+    span = (args.snr_db_max - args.snr_db_min) / args.step_db + 1e-9  # absorbs division rounding
+    if span >= _MAX_ZETA_SOLVES:
+        raise ValueError(f"--step-db is too small: the range needs more than {_MAX_ZETA_SOLVES} solves")
+    dbs = [min(args.snr_db_min + i * args.step_db, args.snr_db_max) for i in range(int(span) + 1)]
     snrs = [_snr_from_db(db, "--snr-db-max") for db in dbs]
     results = [optimal_zeta(snr, grid=args.grid) for snr in snrs]
     rows = [{"snr_db": db, "zeta_star": z, "kli_star": v}

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._util import check_finite, check_positive
+from ._util import bisect, check_finite, check_positive
 from .specfun import _agm, bessel_k1
 
 __all__ = [
@@ -54,13 +54,7 @@ def zeta_from_rho(rho: float) -> float:
         return 0.0
     if rho == 1.0:
         return 0.25
-    lo, hi = 0.0, 0.25
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if rho_from_zeta(mid) < rho:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda z: rho_from_zeta(z) < rho, 0.0, 0.25, 1e-12)
     return 0.5 * (lo + hi)
 
 

@@ -158,10 +158,15 @@ def llr_per_node(y: np.ndarray, sigma2: float, cs1: CirculantSpectrum) -> float:
     return (det_term + quad_term) / size
 
 
-def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    # one independent substream per trial: results do not depend on how the
-    # trials are scheduled, only on (seed, trial index)
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+def _noise_trials(model: SfcarModel, sigma2: float, n: int, trials: int, seed: int):
+    """Torus eigenvalues of the hidden field and a lazy sequence of i.i.d. N(0, sigma2) n x n
+    fields, one per trial from its own substream, so each depends only on (seed, trial index)."""
+    if trials < 30:
+        raise ValueError(f"need at least 30 trials for a standard error, got {trials}")
+    cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
+    sd = math.sqrt(sigma2)
+    return cs1, (sd * np.random.default_rng(s).standard_normal((n,) * cs1.dim)
+                 for s in np.random.SeedSequence(seed).spawn(trials))
 
 
 def _report(values: np.ndarray, n: int, seed: int) -> McReport:
@@ -188,14 +193,8 @@ def mc_kli_estimate(
     mean estimates the asymptotic rate up to the torus discretization bias,
     which vanishes as n grows.
     """
-    if trials < 30:
-        raise ValueError(f"need at least 30 trials for a standard error, got {trials}")
-    cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
-    sd = math.sqrt(sigma2)
-    values = np.empty(trials)
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
-        y = sd * rng.standard_normal((n,) * cs1.dim)
-        values[t] = llr_per_node(y, sigma2, cs1)
+    cs1, fields = _noise_trials(model, sigma2, n, trials, seed)
+    values = np.array([llr_per_node(y, sigma2, cs1) for y in fields])
     return _report(values, n, seed)
 
 
@@ -206,34 +205,30 @@ def _signal_gamma_table(kappa: float, zeta: float) -> np.ndarray:
     return tab
 
 
+def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column offsets of every node pair of the n x n patch, nodes in lexicographic order."""
+    i, j = np.divmod(np.arange(n * n), n)  # node k sits at row k // n, column k % n
+    return i[:, None] - i[None, :], j[:, None] - j[None, :]
+
+
 def dense_covariance(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """Exact n^2 x n^2 block-Toeplitz covariance of the hidden field on the
     n x n patch, nodes in lexicographic order: sigma2 I + [gamma_{i-j}]."""
-    gamma = _signal_gamma_table(model.kappa, model.zeta)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    i, j = ii.ravel(), jj.ravel()
-    di = i[:, None] - i[None, :]
-    dj = j[:, None] - j[None, :]
-    sigma = gamma[di, dj] + sigma2 * np.eye(n * n)
-    return sigma
+    return _signal_gamma_table(model.kappa, model.zeta)[_pair_offsets(n)] + sigma2 * np.eye(n * n)
 
 
 def dense_circulant(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """Circulant approximation to dense_covariance: offsets wrapped on the torus."""
-    gamma = _signal_gamma_table(model.kappa, model.zeta)
+    di, dj = _pair_offsets(n)  # before the small table below: a lower peak RSS
     idx = np.minimum(np.arange(n), n - np.arange(n))
-    wrapped = gamma[np.ix_(idx, idx)].copy()
+    wrapped = _signal_gamma_table(model.kappa, model.zeta)[np.ix_(idx, idx)]  # fancy indexing copies
     wrapped[0, 0] += sigma2
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    i, j = ii.ravel(), jj.ravel()
-    di = (i[:, None] - i[None, :]) % n
-    dj = (j[:, None] - j[None, :]) % n
-    return wrapped[di, dj]
+    return wrapped[np.mod(di, n, out=di), np.mod(dj, n, out=dj)]
 
 
-def _hidden_grid_mean(model: SfcarModel, sigma2: float, fn, grid: int = 1024) -> float:
+def _hidden_grid_mean(model: SfcarModel, sigma2: float, fn) -> float:
     # (2 pi)^{-2} integral of fn((2 pi)^2 f1) over the frequency square
-    vals = hidden_spectrum(sfcar_spectrum(model), sigma2).grid_values(grid)
+    vals = hidden_spectrum(sfcar_spectrum(model), sigma2).grid_values(_COV_GRID)
     return float(np.mean(fn(TWO_PI**2 * vals)))
 
 
@@ -275,8 +270,6 @@ def quadform_limit_check(
     path its torus diagonalization; both converge to the spectral integral
     of sigma2 / ((2 pi)^2 f1).  The same noise fields drive both paths.
     """
-    if trials < 30:
-        raise ValueError(f"need at least 30 trials for a standard error, got {trials}")
     if n > _DENSE_INVERSE_MAX:
         raise ValueError(f"dense inverse limited to n <= {_DENSE_INVERSE_MAX}, got {n}")
     target = _hidden_grid_mean(model, sigma2, lambda lam: sigma2 / lam)
@@ -285,12 +278,10 @@ def quadform_limit_check(
         sigma_inv = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:
         raise NonpositiveEigenvalueError("dense covariance is not positive definite") from exc
-    cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
-    sd = math.sqrt(sigma2)
+    cs1, fields = _noise_trials(model, sigma2, n, trials, seed)
     q_dense = np.empty(trials)
     q_circ = np.empty(trials)
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
-        y = sd * rng.standard_normal((n, n))
+    for t, y in enumerate(fields):
         flat = y.ravel()
         q_dense[t] = flat @ sigma_inv @ flat / n**2
         power = np.abs(np.fft.fftn(y)) ** 2 / n**2

@@ -70,6 +70,12 @@ def _cos_sum(grid: int) -> np.ndarray:
     return out
 
 
+def _check_snr(snr: float) -> None:
+    check_finite(snr=snr)
+    if snr < 0.0:
+        raise ValueError(f"snr must be >= 0, got {snr!r}")
+
+
 def _sfcar_rates(snr: float, zeta: float, grid: int,
                  kli: bool = True, mi: bool = True) -> tuple[float, float]:
     """(KLI, MI) of the hidden SFCAR from one grid pass; a rate not asked for is NaN.
@@ -78,9 +84,7 @@ def _sfcar_rates(snr: float, zeta: float, grid: int,
     MI = mean(h) and KLI = mean(h - a / (2 (1 + a))) with h = log1p(a) / 2.
     zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
-    check_finite(snr=snr)
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
+    _check_snr(snr)
     if not 0.0 <= zeta <= 0.25:
         raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
     if snr == 0.0 or zeta == 0.25:
@@ -112,8 +116,7 @@ def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoR
 
 def stein_kli(snr: float) -> float:
     """KLI rate of i.i.d. observations: 0.5 log(1+SNR) - 0.5 (1 - 1/(1+SNR))."""
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
+    _check_snr(snr)
     return 0.5 * math.log1p(snr) - 0.5 * snr / (1.0 + snr)
 
 

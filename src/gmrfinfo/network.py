@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import check_finite, check_positive, golden_section_max
+from ._util import bisect, check_finite, check_positive, golden_section_max
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -127,17 +127,29 @@ def hop_sum_closed(n: float) -> float:
     return 0.5 * n * (n - 1.0) * (n + 1.0)
 
 
+def _lattice_energy(cfg: NetworkConfig, side: float, hops: Callable[[float], float]) -> float:
+    """Sensing plus routing energy side^2 es + links * e0 * dn^nu [J] of a side x side
+    lattice at cfg's settings; links = side^2 with fusion, else hops(side)."""
+    links = side**2 if cfg.fusion else hops(side)
+    return side**2 * cfg.es + links * cfg.e0 * cfg.dn**cfg.nu
+
+
 def total_energy(cfg: NetworkConfig) -> float:
-    """Total sensing plus routing energy n^2 es + hops * e0 * dn^nu [J]."""
-    links = cfg.n**2 if cfg.fusion else hop_sum(cfg.n)
-    return cfg.n**2 * cfg.es + links * cfg.e0 * cfg.dn**cfg.nu
+    """Total sensing plus routing energy of the n x n network [J] (see _lattice_energy)."""
+    return _lattice_energy(cfg, cfg.n, hop_sum)
+
+
+def _sorted_nonempty(values: Sequence, name: str) -> list:
+    """values ascending; ValueError naming them if there are none."""
+    out = sorted(values)
+    if not out:
+        raise ValueError(f"{name} must not be empty")
+    return out
 
 
 def _sorted_densities(mu_list: Sequence[float]) -> list[float]:
     """mu_list ascending; ValueError if it is empty or a density is not finite and positive."""
-    mus = sorted(mu_list)
-    if not mus:
-        raise ValueError("densities must not be empty")
+    mus = _sorted_nonempty(mu_list, "densities")
     if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
         raise ValueError("densities must be finite and positive")
     return mus
@@ -149,10 +161,6 @@ def _per_node_rate(snr: float, zeta: float, measure: str, grid: int) -> float:
     if measure == "mi":
         return mi_rate_sfcar(snr, zeta, grid)
     raise ValueError(f"measure must be 'kli' or 'mi', got {measure!r}")
-
-
-def _decorrelated_limit(snr: float, measure: str) -> float:
-    return stein_kli(snr) if measure == "kli" else 0.5 * math.log1p(snr)
 
 
 def network_report(cfg: NetworkConfig, measure: str = "kli", grid: int = DEFAULT_GRID) -> NetworkReport:
@@ -247,35 +255,24 @@ def sweep_fixed_pernode_energy(
     the smallest n, so the smallest network exactly exhausts its budget.  A
     deployment of n^2 nodes pools n^2 * Ebar joules, which buys gathering
     from a centered sub-lattice of side m(n) <= n at the configured sensing
-    energy (the routing cost grows like m^3, the pool only like n^2).  The
-    per-node information of the deployment is m^2 * rate / n^2; its exponent
-    in the node count N = n^2 is the quantity of interest.
+    energy (hop routing grows like m^3, the pool like n^2; fusion gives m = n).
+    The per-node information of the deployment is m^2 * rate / n^2; its
+    exponent in the node count N = n^2 is the quantity of interest.
     """
-    n_sorted = sorted(n_list)
+    n_sorted = _sorted_nonempty(n_list, "sides")
     n0 = n_sorted[0]
-    ec = cfg.e0 * cfg.dn**cfg.nu
-    ebar = cfg.es + hop_sum(n0) * ec / n0**2
-    zeta = zeta_from_spacing(PhysicalField(cfg.alpha), cfg.dn)
-    rate = _per_node_rate(cfg.beta * cfg.es, zeta, measure, grid)
+    ebar = cfg.es + total_energy(replace(cfg, n=n0, es=0.0)) / n0**2
+    rate = network_report(cfg, measure, grid).per_node_info
 
-    def gathered(budget: float, n: int) -> float:
-        # largest (real) side m with m^2 es + hops(m) ec <= budget
-        lo, hi = 1.0, float(n)
-        if hi**2 * cfg.es + hop_sum_closed(hi) * ec <= budget:
-            return hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid**2 * cfg.es + hop_sum_closed(mid) * ec <= budget:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def gathered(n: int) -> float:
+        # largest (real) side m <= n whose sub-lattice energy fits the pool n^2 * ebar
+        def fits(m: float) -> bool:
+            return _lattice_energy(cfg, m, hop_sum_closed) <= n**2 * ebar
 
-    sides, per_node = [], []
-    for n in n_sorted:
-        m = gathered(n**2 * ebar, n)
-        sides.append(m)
-        per_node.append(m**2 * rate / n**2)
+        return float(n) if fits(float(n)) else bisect(fits, 1.0, float(n), 0.0)[0]
+
+    sides = [gathered(n) for n in n_sorted]
+    per_node = [m**2 * rate / n**2 for m, n in zip(sides, n_sorted)]
     nodes = [n**2 for n in n_sorted]
     return PernodeEnergySweep(
         n_list=tuple(n_sorted),
@@ -308,8 +305,8 @@ def sweep_spacing(
     """
     snr = cfg.beta * cfg.es
     field = PhysicalField(cfg.alpha)
-    limit = _decorrelated_limit(snr, measure)
-    dns = sorted(dn_list)
+    limit = stein_kli(snr) if measure == "kli" else 0.5 * math.log1p(snr)
+    dns = _sorted_nonempty(dn_list, "spacings")
     for d in dns:
         check_positive(spacing=float(d))
     rates = [_per_node_rate(snr, zeta_from_spacing(field, d), measure, grid) for d in dns]
@@ -385,19 +382,16 @@ def sweep_energy_fixed_all(
     Raises InfeasibleEnergyError if any budget is below the communication
     floor.
     """
-    comm = hop_sum(cfg.n) * cfg.e0 * cfg.dn**cfg.nu
-    ets = sorted(et_list)
+    comm = total_energy(replace(cfg, es=0.0))
+    ets = _sorted_nonempty(et_list, "budgets")
     for et in ets:
         check_finite(et=et)
     if ets[0] <= comm:
         raise InfeasibleEnergyError(
             f"total energy {ets[0]:.6g} J is below the communication floor {comm:.6g} J"
         )
-    zeta = zeta_from_spacing(PhysicalField(cfg.alpha), cfg.dn)
-    infos = []
-    for et in ets:
-        es = (et - comm) / cfg.n**2
-        infos.append(cfg.n**2 * _per_node_rate(cfg.beta * es, zeta, measure, grid))
+    infos = [network_report(replace(cfg, es=(et - comm) / cfg.n**2), measure, grid).total_info
+             for et in ets]
     increments = tuple(b - a for a, b in zip(infos, infos[1:]))
     return EnergySweep(et_list=tuple(ets), total_info=tuple(infos), increments=increments)
 

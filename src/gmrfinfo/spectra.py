@@ -131,23 +131,17 @@ def car_spectrum(model: CarModel) -> SpectralDensity:
     """
     offsets = [(i, j, v) for (i, j), v in model.theta.items()]
 
-    def evaluator(w1, w2):
-        denom = np.zeros(np.broadcast(w1, w2).shape)
-        for i, j, v in offsets:
-            denom += v * np.cos(i * np.asarray(w1) + j * np.asarray(w2))
-        return 1.0 / (4.0 * math.pi**2 * denom)
+    def cosine_sum(w1, w2):
+        return sum(v * np.cos(i * np.asarray(w1) + j * np.asarray(w2)) for i, j, v in offsets)
 
     w = omega_grid(_CAR_CHECK_GRID)
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    denom = np.zeros_like(w1)
-    for i, j, v in offsets:
-        denom += v * np.cos(i * w1 + j * w2)
+    denom = cosine_sum(*np.meshgrid(w, w, indexing="ij"))
     if denom.min() <= 0.0:
         raise InvalidModelError(
             "CAR denominator is not positive on the validation grid "
             f"(min {denom.min():.3g}); spectrum would not be a valid density"
         )
-    return SpectralDensity(evaluator, dim=2, form="car")
+    return SpectralDensity(lambda w1, w2: 1.0 / (4.0 * math.pi**2 * cosine_sum(w1, w2)), dim=2, form="car")
 
 
 def sfcar_spectrum(model: SfcarModel) -> SpectralDensity:
@@ -197,7 +191,8 @@ def sfcar_for_snr(snr: float, zeta: float, sigma2: float = 1.0) -> SfcarModel:
     """
     check_positive(snr=snr, sigma2=sigma2)
     check_finite(zeta=zeta)
-    if not 0.0 <= zeta < 0.25:
+    SfcarModel(1.0, zeta)  # a zeta outside [0, 1/4] is an InvalidModelError
+    if zeta == 0.25:
         raise SingularModelError("no finite-power model exists at zeta = 1/4")
     kappa = 2.0 * elliptic_k(4.0 * zeta) / (math.pi * snr * sigma2)
     return SfcarModel(kappa=kappa, zeta=zeta)

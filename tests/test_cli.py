@@ -157,6 +157,24 @@ class TestConfigFile:
         assert code == 2
         assert "--config" in err and "expected one argument" in err
 
+    def test_config_with_both_snrs_rejected(self, capfd, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": 10, "snr_linear": 2, "zeta": 0.1}))
+        code = main(["rates", "--config", str(cfg)])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: config file {cfg} sets both snr_db and snr_linear; give one\n"
+
+    @pytest.mark.parametrize("key,value,flag,arg", [("snr_linear", 2, "--snr-db", "10"),
+                                                    ("snr_db", 10, "--snr-linear", "2")])
+    def test_snr_flag_beats_config_snr(self, capsys, tmp_path, key, value, flag, arg):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "zeta": 0.1}))
+        code, out, _ = run(capsys, "rates", "--config", str(cfg), flag, arg)
+        assert code == 0
+        assert out == run(capsys, "rates", "--zeta", "0.1", flag, arg)[1]
+
     @pytest.mark.parametrize("key,value", [("seed", 5), ("zeta", [0.1])])
     def test_unknown_or_mistyped_key_named(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
@@ -274,6 +292,28 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: --points must be positive, got {points}\n"
 
+    @pytest.mark.parametrize("command", ["rates", "sweep-zeta", "mc-verify", "spacing", "density"])
+    @pytest.mark.parametrize("order", [("--snr-db", "10", "--snr-linear", "2"),
+                                       ("--snr-linear", "2", "--snr-db", "10")])
+    def test_both_snr_flags_is_one_error_line(self, capfd, command, order):
+        code = main([command, *BASE_ARGV[command], *order])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: give one of --snr-db and --snr-linear, not both\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--snr-db-min", "0", "--snr-db-max", "100000", "--step-db", "1e-300"],
+        ["--snr-db-min", "0", "--snr-db-max", "10", "--step-db", "1e-5"],  # 10^6 + 1 points
+        ["--snr-db-min=-1e308", "--snr-db-max", "1e308", "--step-db", "1"],
+    ])
+    def test_optimal_zeta_solve_count_is_bounded(self, capfd, argv):
+        code = main(["optimal-zeta", *argv])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --step-db is too small: the range needs more than 1000000 solves\n"
+
     def test_snr_linear_zero_still_means_zero_snr(self, capsys):
         code, out, _ = run(capsys, "rates", "--snr-linear", "0", "--zeta", "0.1")
         assert code == 0
@@ -305,6 +345,27 @@ class TestErrorPaths:
                            "--n", "16", "--trials", "50")
         assert code == 0
         assert "mc mean=" in out and "target=" in out
+
+
+class TestOptimalZetaRange:
+    def rows(self, capsys, tmp_path, *argv):
+        path = tmp_path / "oz.csv"
+        code, _, err = run(capsys, "optimal-zeta", *argv, "--grid", "8", "--output", str(path))
+        assert code == 0, err
+        return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True)["snr_db"])
+
+    def test_last_row_stays_within_max(self, capsys, tmp_path):
+        dbs = self.rows(capsys, tmp_path, "--snr-db-min", "0", "--snr-db-max", "1.6", "--step-db", "1")
+        assert list(dbs) == [0.0, 1.0]
+
+    def test_max_reached_despite_division_rounding(self, capsys, tmp_path):
+        # 0.3 / 0.1 rounds to 2.9999999999999996
+        dbs = self.rows(capsys, tmp_path, "--snr-db-min", "0", "--snr-db-max", "0.3", "--step-db", "0.1")
+        assert len(dbs) == 4 and dbs[-1] == 0.3
+
+    def test_default_range_has_41_rows(self, capsys, tmp_path):
+        dbs = self.rows(capsys, tmp_path)
+        assert len(dbs) == 41 and dbs[0] == -10.0 and dbs[-1] == 10.0
 
 
 class TestAllCommands:

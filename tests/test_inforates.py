@@ -47,6 +47,14 @@ class TestStein:
     def test_matches_flat_quadrature(self):
         assert kli_rate_sfcar(10.0, 0.0, 512) == pytest.approx(stein_kli(10.0), abs=1e-9)
 
+    @pytest.mark.parametrize("snr,message", [(math.nan, "snr must be finite, got nan"),
+                                             (math.inf, "snr must be finite, got inf"),
+                                             (-1.0, "snr must be >= 0, got -1.0")])
+    def test_domain_matches_kernel(self, snr, message):
+        for rate in (stein_kli, lambda s: kli_rate_sfcar(s, 0.0)):
+            with pytest.raises(ValueError, match=message):
+                rate(snr)
+
 
 class TestSfcarRates:
     @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0])

@@ -125,6 +125,25 @@ class TestPernodeEnergy:
         assert sweep.gathered_side[0] == pytest.approx(33.0, abs=1e-6)
         assert all(m < n for m, n in zip(sweep.gathered_side[1:], sweep.n_list[1:]))
 
+    def test_fusion_keeps_per_node_information(self):
+        # with fusion both the budget and the cost of a side-m sub-lattice grow
+        # like m^2, so every deployment gathers all its nodes
+        cfg = replace(BASE, fusion=True)
+        sweep = sweep_fixed_pernode_energy(cfg, [33, 65, 129, 257])
+        rate = network_report(cfg).per_node_info
+        assert sweep.ebar == pytest.approx(BASE.es + BASE.e0 * BASE.dn**BASE.nu, rel=1e-15)
+        for info in sweep.per_node_info:
+            assert info == pytest.approx(rate, rel=1e-12)
+        assert abs(sweep.info_vs_nodes.slope) < 1e-9
+
+    def test_empty_sides_rejected(self):
+        with pytest.raises(ValueError, match="sides must not be empty"):
+            sweep_fixed_pernode_energy(BASE, [])
+
+    def test_side_below_two_is_a_config_error(self):
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            sweep_fixed_pernode_energy(BASE, [1, 33])
+
 
 class TestSpacing:
     def test_wide_spacing_reaches_limit(self):
@@ -162,6 +181,10 @@ class TestSpacing:
     def test_bad_spacing_rejected(self, dn, message):
         with pytest.raises(ValueError, match=message):
             sweep_spacing(BASE, [1.0, dn])
+
+    def test_empty_spacings_rejected(self):
+        with pytest.raises(ValueError, match="spacings must not be empty"):
+            sweep_spacing(BASE, [])
 
 
 class TestInfiniteDensity:
@@ -222,6 +245,21 @@ class TestEnergySweep:
     def test_nonfinite_budget_rejected(self, et):
         with pytest.raises(ValueError, match="et must be finite"):
             sweep_energy_fixed_all(self.CFG, [1e4, et])
+
+    def test_empty_budgets_rejected(self):
+        with pytest.raises(ValueError, match="budgets must not be empty"):
+            sweep_energy_fixed_all(self.CFG, [])
+
+    def test_fusion_floor_is_one_link_per_node(self):
+        # fusion: 21^2 links cost 0.441 J; minimum-hop routing would cost
+        # hop_sum(21) * 1e-3 = 4.62 J, above this 1 J budget
+        cfg = replace(self.CFG, fusion=True)
+        sweep = sweep_energy_fixed_all(cfg, [1.0])
+        es = (1.0 - 21**2 * 0.1 * 0.01) / 21**2
+        expect = network_report(replace(cfg, es=es)).total_info
+        assert sweep.total_info[0] == pytest.approx(expect, rel=1e-12)
+        with pytest.raises(InfeasibleEnergyError, match="floor 0.441 J"):
+            sweep_energy_fixed_all(cfg, [0.4])
 
     def test_log_linear_growth(self):
         sweep = sweep_energy_fixed_all(self.CFG, [1e4, 1e5, 1e6, 1e7, 1e8])

@@ -203,6 +203,15 @@ class TestSnrHelpers:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             sfcar_for_snr(**args)
 
+    @pytest.mark.parametrize("zeta", [-0.1, 0.3])
+    def test_sfcar_for_snr_zeta_outside_range_is_invalid(self, zeta):
+        with pytest.raises(InvalidModelError, match=r"zeta must lie in \[0, 1/4\]"):
+            sfcar_for_snr(1.0, zeta)
+
+    def test_sfcar_for_snr_quarter_is_singular(self):
+        with pytest.raises(SingularModelError, match="no finite-power model exists at zeta = 1/4"):
+            sfcar_for_snr(1.0, 0.25)
+
     def test_hidden_spectrum_offset(self):
         base = constant_spectrum(0.5, dim=2)
         hid = hidden_spectrum(base, sigma2=2.0)
