@@ -25,6 +25,14 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive, got {value!r}")
 
 
+def check_side(n: int, minimum: int) -> None:
+    """Raise ValueError unless the lattice side n is an integer (numpy integers too) >= minimum."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < minimum:
+        raise ValueError(f"n must be >= {minimum}, got {n}")
+
+
 def bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Halve ``[lo, hi]``, keeping ``pred`` true at ``lo`` and false at ``hi``, until
     ``hi - lo <= tol`` or the midpoint rounds to an end; returns the final ``(lo, hi)``."""

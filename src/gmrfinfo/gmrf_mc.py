@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._util import check_positive
+from ._util import check_positive, check_side
 from .spectra import (
     SfcarModel,
     SpectralDensity,
     SingularSpectrumError,
-    autocovariance_grid,
     hidden_spectrum,
+    omega_grid,
     sfcar_spectrum,
 )
 
@@ -46,7 +45,7 @@ TWO_PI = 2.0 * math.pi
 
 _DENSE_LOGDET_MAX = 48   # dense block-Toeplitz assembly is (n^2)^2
 _DENSE_INVERSE_MAX = 32
-_COV_GRID = 1024         # per-side spectral quadrature grid of the plane autocovariances
+_COV_GRID = 1024         # w1 nodes of the quadratures left after the closed-form w2 integrals
 
 
 class NonpositiveEigenvalueError(ValueError):
@@ -56,17 +55,11 @@ class NonpositiveEigenvalueError(ValueError):
 @dataclass(frozen=True)
 class CirculantSpectrum:
     """Eigenvalues of the torus covariance: lambda_i = (2 pi)^d f(omega_i) at
-    the DFT frequencies omega_i = 2 pi i / n, stored as an (n, ..., n) array.
-
-    ``mode`` records the construction: "spectrum" samples the target spectrum
-    directly (exact stationary torus model), "wrapped" transforms the wrapped
-    plane autocovariances (the circulant approximation of the plane model).
-    """
+    the DFT frequencies omega_i = 2 pi i / n, stored as an (n, ..., n) array."""
 
     n: int
     dim: int
     eigs: np.ndarray
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -91,39 +84,19 @@ class QuadformCheck:
     target: float
 
 
-def circulant_eigs(
-    spec: SpectralDensity,
-    n: int,
-    mode: str = "spectrum",
-) -> CirculantSpectrum:
-    """Torus covariance eigenvalues for an n-per-side lattice.
-
-    mode="spectrum": lambda_i = (2 pi)^d f(omega_i) (exact torus model).
-    mode="wrapped":  DFT of the wrapped plane autocovariances, i.e. the
-    eigenvalues of the circulant approximation to the plane covariance;
-    plane autocovariances come from a 1024-per-side spectral quadrature.
-    """
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+def circulant_eigs(spec: SpectralDensity, n: int) -> CirculantSpectrum:
+    """Torus covariance eigenvalues lambda_i = (2 pi)^d f(omega_i) for an
+    n-per-side lattice (the exact stationary torus model)."""
+    check_side(n, 4)
     d = spec.dim
-    if mode == "spectrum":
-        w = TWO_PI * np.arange(n) / n
-        axes = np.meshgrid(*[w] * d, indexing="ij")
-        eigs = TWO_PI**d * np.asarray(spec.evaluator(*axes), dtype=float)
-        if not np.all(np.isfinite(eigs)):
-            raise SingularSpectrumError("spectrum is not finite at the DFT frequencies")
-    elif mode == "wrapped":
-        gamma = autocovariance_grid(spec, _COV_GRID)
-        idx = np.minimum(np.arange(n), n - np.arange(n))  # pi(h) per axis
-        wrapped = gamma[np.ix_(*[idx] * d)]
-        eigs = np.fft.fftn(wrapped).real
-    else:
-        raise ValueError(f"mode must be 'spectrum' or 'wrapped', got {mode!r}")
+    w = TWO_PI * np.arange(n) / n
+    axes = np.meshgrid(*[w] * d, indexing="ij")
+    eigs = TWO_PI**d * np.asarray(spec.evaluator(*axes), dtype=float)
+    if not np.all(np.isfinite(eigs)):
+        raise SingularSpectrumError("spectrum is not finite at the DFT frequencies")
     if eigs.min() <= 0.0:
-        raise NonpositiveEigenvalueError(
-            f"nonpositive torus eigenvalue (min {eigs.min():.3g}) for mode={mode!r}, n={n}"
-        )
-    return CirculantSpectrum(n=n, dim=d, eigs=eigs, mode=mode)
+        raise NonpositiveEigenvalueError(f"nonpositive torus eigenvalue (min {eigs.min():.3g}), n={n}")
+    return CirculantSpectrum(n=n, dim=d, eigs=eigs)
 
 
 def sample_field(cs: CirculantSpectrum, rng: np.random.Generator) -> np.ndarray:
@@ -198,38 +171,59 @@ def mc_kli_estimate(
     return _report(values, n, seed)
 
 
-@lru_cache(maxsize=1)
-def _signal_gamma_table(kappa: float, zeta: float) -> np.ndarray:
-    tab = autocovariance_grid(sfcar_spectrum(SfcarModel(kappa, zeta)), _COV_GRID)
-    tab.setflags(write=False)
-    return tab
+def _w2_closed_form(zeta: float, c: float, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B and s = sqrt(A^2 - B^2) on the w1 nodes of omega_grid(_COV_GRID), where the
+    denominator c (1 - 2 zeta (cos w1 + cos w2)) + shift is A - B cos w2.  Along w2,
+    (1/2pi) int cos(h w2) / (A - B cos w2) dw2 = (B / (A + s))^|h| / s and
+    (1/2pi) int log(A - B cos w2) dw2 = log((A + s) / 2)."""
+    a = c * (1.0 - 2.0 * zeta * np.cos(omega_grid(_COV_GRID))) + shift
+    b = 2.0 * c * zeta
+    s = np.sqrt((a - b) * (a + b))
+    if not np.all(s > 0.0):
+        raise SingularSpectrumError("spectrum is not finite on the quadrature grid")
+    return a, b, s
 
 
-def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column offsets of every node pair of the n x n patch, nodes in lexicographic order."""
-    i, j = np.divmod(np.arange(n * n), n)  # node k sits at row k // n, column k % n
-    return i[:, None] - i[None, :], j[:, None] - j[None, :]
+def _patch_matrix(model: SfcarModel, sigma2: float, n: int, wrap: bool) -> np.ndarray:
+    """sigma2 I + [gamma_{k-l}] over the node pairs (k, l) of the n x n patch, nodes in
+    lexicographic order, offsets wrapped on the n-torus if wrap.  gamma[h1, h2] takes
+    the w2 integral in closed form and the w1 integral by the trapezoid rule; gamma is
+    symmetric, so the larger offset goes to the closed form (a w1 sum reaches its small
+    power only by cancellation)."""
+    check_side(n, 1)
+    a, b, s = _w2_closed_form(model.zeta, 1.0, 0.0)
+    h = np.arange(n)
+    tab = np.cos(np.outer(h, omega_grid(_COV_GRID))) @ ((b / (a + s))[:, None] ** h / s[:, None])
+    tab = np.where(h[:, None] <= h, tab, tab.T) / (_COV_GRID * model.kappa)
+    tab[0, 0] += sigma2  # offset (0, 0) is the diagonal
+    d = np.abs(np.subtract.outer(h, h))
+    d = np.minimum(d, n - d) if wrap else d
+    # indexed as (row of k, column of k, row of l, column of l), then flattened to (k, l)
+    return tab[d[:, None, :, None], d[None, :, None, :]].reshape(n * n, n * n)
 
 
 def dense_covariance(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """Exact n^2 x n^2 block-Toeplitz covariance of the hidden field on the
     n x n patch, nodes in lexicographic order: sigma2 I + [gamma_{i-j}]."""
-    return _signal_gamma_table(model.kappa, model.zeta)[_pair_offsets(n)] + sigma2 * np.eye(n * n)
+    return _patch_matrix(model, sigma2, n, wrap=False)
 
 
 def dense_circulant(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """Circulant approximation to dense_covariance: offsets wrapped on the torus."""
-    di, dj = _pair_offsets(n)  # before the small table below: a lower peak RSS
-    idx = np.minimum(np.arange(n), n - np.arange(n))
-    wrapped = _signal_gamma_table(model.kappa, model.zeta)[np.ix_(idx, idx)]  # fancy indexing copies
-    wrapped[0, 0] += sigma2
-    return wrapped[np.mod(di, n, out=di), np.mod(dj, n, out=dj)]
+    return _patch_matrix(model, sigma2, n, wrap=True)
 
 
-def _hidden_grid_mean(model: SfcarModel, sigma2: float, fn) -> float:
-    # (2 pi)^{-2} integral of fn((2 pi)^2 f1) over the frequency square
-    vals = hidden_spectrum(sfcar_spectrum(model), sigma2).grid_values(_COV_GRID)
-    return float(np.mean(fn(TWO_PI**2 * vals)))
+def _hidden_limits(model: SfcarModel, sigma2: float) -> tuple[float, float]:
+    """Spectral limits of the per-node log-det, the mean of log((2 pi)^2 f1), and of
+    the quadratic form, the mean of sigma2 / ((2 pi)^2 f1), with closed-form w2 means."""
+    check_positive(sigma2=sigma2)
+    t = model.kappa * sigma2  # (2 pi)^2 f1 = (A1 - B1 cos w2) / (kappa (A - B cos w2))
+    a, _, s = _w2_closed_form(model.zeta, 1.0, 0.0)
+    a1, _, s1 = _w2_closed_form(model.zeta, t, 1.0)
+    logdet = float(np.mean(np.log((a1 + s1) / (a + s)))) - math.log(model.kappa)
+    # the w2 mean 1 - 1/s1, rearranged so that nothing cancels at high SNR
+    quadform = float(np.mean(t * (t * s**2 + 2.0 * a) / (s1 * (s1 + 1.0))))
+    return logdet, quadform
 
 
 def logdet_convergence(
@@ -242,14 +236,13 @@ def logdet_convergence(
 
     The gap shrinks like 1/n.  Sides above 48 are rejected (dense assembly).
     """
-    target = _hidden_grid_mean(model, sigma2, np.log)
+    target = _hidden_limits(model, sigma2)[0]
     out = []
     for n in n_list:
         if n > _DENSE_LOGDET_MAX:
             raise ValueError(f"dense log-det limited to n <= {_DENSE_LOGDET_MAX}, got {n}")
-        sigma = dense_covariance(model, sigma2, n)
         try:
-            chol = np.linalg.cholesky(sigma)
+            chol = np.linalg.cholesky(dense_covariance(model, sigma2, n))
         except np.linalg.LinAlgError as exc:
             raise NonpositiveEigenvalueError("dense covariance is not positive definite") from exc
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -272,10 +265,9 @@ def quadform_limit_check(
     """
     if n > _DENSE_INVERSE_MAX:
         raise ValueError(f"dense inverse limited to n <= {_DENSE_INVERSE_MAX}, got {n}")
-    target = _hidden_grid_mean(model, sigma2, lambda lam: sigma2 / lam)
-    sigma = dense_covariance(model, sigma2, n)
+    target = _hidden_limits(model, sigma2)[1]
     try:
-        sigma_inv = np.linalg.inv(sigma)
+        sigma_inv = np.linalg.inv(dense_covariance(model, sigma2, n))
     except np.linalg.LinAlgError as exc:
         raise NonpositiveEigenvalueError("dense covariance is not positive definite") from exc
     cs1, fields = _noise_trials(model, sigma2, n, trials, seed)

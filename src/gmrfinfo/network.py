@@ -14,7 +14,7 @@ import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import bisect, check_finite, check_positive, golden_section_max
+from ._util import bisect, check_finite, check_positive, check_side, golden_section_max
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -74,8 +74,7 @@ class NetworkConfig:
     fusion: bool = False
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        check_side(self.n, 2)
         check_positive(dn=self.dn, e0=self.e0, beta=self.beta)
         check_finite(es=self.es)
         if self.es < 0.0:
@@ -113,8 +112,7 @@ def hop_sum(n: int) -> int:
     """Total hop count sum_{ij} |i - floor(n/2)| + |j - floor(n/2)|:
     n(n-1)(n+1)/2 for odd n and n^3/2 for even n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_side(n, 1)
     return n * (n - 1) * (n + 1) // 2 if n % 2 else n**3 // 2
 
 
@@ -183,6 +181,8 @@ def network_report(cfg: NetworkConfig, measure: str = "kli", grid: int = DEFAULT
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> FitResult:
+    if len(set(x.tolist())) < 2:
+        raise ValueError("not enough distinct points left to fit")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -202,8 +202,6 @@ def fit_loglog(x: Sequence[float], y: Sequence[float], drop_smallest: float = 0.
         raise ValueError("log-log fit requires positive data")
     order = np.argsort(x)
     keep = order[int(len(x) * drop_smallest):]
-    if len(keep) < 2:
-        raise ValueError("not enough points left to fit")
     return _ols(np.log(x[keep]), np.log(y[keep]))
 
 
@@ -316,10 +314,10 @@ def sweep_spacing(
         if gap > 0.0:
             xs.append(d)
             ys.append(math.log(gap / math.sqrt(d)))
-    if len(xs) >= 2:
+    if len(set(xs)) >= 2:
         fit = _ols(np.asarray(xs), np.asarray(ys))
     else:
-        # spacing so large the gap is below roundoff everywhere
+        # one spacing only, or spacings so large the gap is below roundoff at all but one
         fit = FitResult(slope=math.nan, intercept=math.nan, r2=math.nan)
     return SpacingSweep(
         dn_list=tuple(dns),

@@ -327,6 +327,14 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: dn must be finite, got {float(value)!r}\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_side_is_one_error_line(self, capfd):
+        code = main(["scaling", "--n-list", "33", "33", "--grid", "16"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: not enough distinct points left to fit\n"
+
     def test_infeasible_energy_exit_code(self, capsys):
         code, _, err = run(capsys, "energy", "--et-list", "0.001")
         assert code == 2

@@ -1,13 +1,15 @@
 """Torus Monte Carlo and dense-matrix verification of the rate limits."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from gmrfinfo.gmrf_mc import (
     NonpositiveEigenvalueError,
-    _signal_gamma_table,
+    _hidden_limits,
     circulant_eigs,
     dense_circulant,
     dense_covariance,
@@ -23,6 +25,7 @@ from gmrfinfo.inforates import kli_rate_sfcar, stein_kli
 from gmrfinfo.spectra import (
     SfcarModel,
     SingularSpectrumError,
+    autocovariance_grid,
     constant_spectrum,
     hidden_spectrum,
     sfcar_for_snr,
@@ -52,12 +55,14 @@ class TestCirculantEigs:
         assert np.unravel_index(np.argmin(cs.eigs), cs.eigs.shape) == (32, 32)
 
     def test_wrapped_converges_to_spectrum(self):
-        spec = sfcar_spectrum(SfcarModel(kappa=1.0, zeta=0.1))
+        # the circulant approximation of the plane model (wrapped plane autocovariances)
+        # approaches the exact torus model as n grows
+        model = SfcarModel(kappa=1.0, zeta=0.1)
         gaps = []
-        for n in (16, 32, 64):
-            a = circulant_eigs(spec, n, "spectrum")
-            b = circulant_eigs(spec, n, "wrapped")
-            gaps.append(np.abs(a.eigs - b.eigs).max())
+        for n in (8, 16, 32):
+            wrapped = np.linalg.eigvalsh(dense_circulant(model, 1.0, n) - np.eye(n * n))
+            exact = np.sort(circulant_eigs(sfcar_spectrum(model), n).eigs.ravel())
+            gaps.append(np.abs(wrapped - exact).max())
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
 
     def test_singular_model_rejected(self):
@@ -212,16 +217,6 @@ class TestDenseChecks:
         strong = toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.2), 1.0, [16])[0][1]
         assert strong > weak
 
-    def test_gamma_table_cache_holds_one_model(self):
-        # every cache hit comes from within one call; older tables are never read again
-        toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.05), 1.0, [8])
-        logdet_convergence(sfcar_for_snr(1.0, 0.15), 1.0, [8, 16])
-        assert _signal_gamma_table.cache_info().currsize == 1
-        before = _signal_gamma_table.cache_info().misses
-        toeplitz_circulant_gap(sfcar_for_snr(1.0, 0.12), 1.0, [8, 16])
-        assert _signal_gamma_table.cache_info().misses == before + 1
-        assert _signal_gamma_table.cache_info().currsize == 1
-
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
     def test_nonfinite_sigma2_rejected(self, sigma2):
         model = sfcar_for_snr(1.0, 0.1)
@@ -237,3 +232,96 @@ class TestDenseChecks:
         circ = dense_circulant(model, 1.0, 8)
         assert sig[0, 1] == pytest.approx(circ[0, 1], rel=1e-12)
         assert sig[0, 0] == pytest.approx(circ[0, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: logdet_convergence(m, 1.0, [-3]),
+        lambda m: logdet_convergence(m, 1.0, [0]),
+        lambda m: toeplitz_circulant_gap(m, 1.0, [0]),
+        lambda m: dense_covariance(m, 1.0, -2),
+        lambda m: dense_circulant(m, 1.0, 0),
+    ])
+    def test_side_below_one_rejected(self, call):
+        with pytest.raises(ValueError, match="n must be >= 1, got"):
+            call(sfcar_for_snr(1.0, 0.1))
+
+    @pytest.mark.parametrize("n", [8.0, 33.5, math.nan])
+    def test_non_integer_side_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer, got"):
+            dense_covariance(sfcar_for_snr(1.0, 0.1), 1.0, n)
+
+    def test_numpy_integer_side_accepted(self):
+        model = sfcar_for_snr(1.0, 0.1)
+        assert np.array_equal(dense_covariance(model, 1.0, np.int64(4)), dense_covariance(model, 1.0, 4))
+
+
+def gamma_mp(zeta, h1, h2):
+    """Plane autocovariance of SfcarModel(1, zeta) at 30 digits: the w2 integral
+    in closed form, the w1 integral by mpmath quadrature."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(zeta)
+
+        def integrand(w):
+            a = 1 - 2 * z * mpmath.cos(w)
+            s = mpmath.sqrt((a - 2 * z) * (a + 2 * z))
+            return mpmath.cos(h1 * w) * (2 * z / (a + s)) ** h2 / s
+
+        return mpmath.quad(integrand, [0, 0.01, 0.1, 0.5, mpmath.pi]) / mpmath.pi
+
+
+def signal_gamma(model, n):
+    """gamma[h1, h2] for offsets below n, read off the first row of the dense covariance."""
+    return dense_covariance(model, 0.0, n)[0].reshape(n, n)
+
+
+def grid_mean(model, sigma2, fn):
+    """The 2-D grid-mean reference: mean of fn((2 pi)^2 f1) over the 1024^2 frequency grid."""
+    vals = hidden_spectrum(sfcar_spectrum(model), sigma2).grid_values(1024)
+    return float(np.mean(fn(FOUR_PI2 * vals)))
+
+
+class TestClosedFormW2:
+    @pytest.mark.parametrize("zeta", [0.1, 0.2, 0.249, 0.2499])
+    def test_gamma_matches_mpmath(self, zeta):
+        kappa = 1.7
+        gamma = signal_gamma(SfcarModel(kappa, zeta), 8)
+        for h1, h2 in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 5), (7, 0), (0, 7), (6, 7), (7, 7)]:
+            ref = float(gamma_mp(zeta, h1, h2)) / kappa
+            assert gamma[h1, h2] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.05, 0.1, 0.2, 0.249])
+    def test_gamma_matches_grid_fft(self, zeta):
+        model = SfcarModel(1.3, zeta)
+        gamma = signal_gamma(model, 16)
+        ref = autocovariance_grid(sfcar_spectrum(model), 1024)[:16, :16]
+        assert np.abs(gamma - ref).max() <= 2e-15 * ref[0, 0]
+
+    @pytest.mark.parametrize("snr,zeta,sigma2", [
+        (1.0, 0.0, 1.0), (1.0, 0.1, 0.7), (20.0, 0.2, 1.9), (0.5, 0.249, 1.0), (1e4, 0.15, 1.0)])
+    def test_targets_match_grid_means(self, snr, zeta, sigma2):
+        model = sfcar_for_snr(snr, zeta, sigma2)
+        logdet, quadform = _hidden_limits(model, sigma2)
+        assert logdet == pytest.approx(grid_mean(model, sigma2, np.log), rel=1e-13, abs=0.0)
+        assert quadform == pytest.approx(grid_mean(model, sigma2, lambda lam: sigma2 / lam),
+                                         rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: dense_covariance(m, 1.0, 4),
+        lambda m: dense_circulant(m, 1.0, 4),
+        lambda m: logdet_convergence(m, 1.0, [4]),
+        lambda m: quadform_limit_check(m, 1.0, 4, 30, seed=0),
+        lambda m: toeplitz_circulant_gap(m, 1.0, [4]),
+    ])
+    def test_quarter_zeta_is_singular(self, call):
+        with pytest.raises(SingularSpectrumError, match="spectrum is not finite"):
+            call(SfcarModel(kappa=1.0, zeta=0.25))
+
+    def test_dense_check_memory_stays_small(self):
+        # the dense checks read offsets below n only; nothing of the quadrature grid's size^2
+        model = sfcar_for_snr(1.0, 0.12)
+        tracemalloc.start()
+        try:
+            toeplitz_circulant_gap(model, 1.0, [8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -66,6 +66,20 @@ class TestEnergy:
         with pytest.raises(ValueError):
             NetworkConfig(n=4, dn=1.0, es=1.0, e0=1.0, nu=1.5, alpha=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("n", [33.5, math.nan, 33.0, "33"])
+    def test_non_integer_side_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer, got"):
+            replace(BASE, n=n)
+
+    def test_numpy_integer_side_accepted(self):
+        assert total_energy(replace(BASE, n=np.int64(33))) == total_energy(BASE)
+
+    @pytest.mark.parametrize("n,message", [(2.0, "n must be an integer, got 2.0"),
+                                           (0, "n must be >= 1, got 0")])
+    def test_hop_sum_side_checked(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            hop_sum(n)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["dn", "es", "e0", "nu", "beta", "alpha"])
     def test_config_rejects_nonfinite(self, field, value):
@@ -185,6 +199,11 @@ class TestSpacing:
     def test_empty_spacings_rejected(self):
         with pytest.raises(ValueError, match="spacings must not be empty"):
             sweep_spacing(BASE, [])
+
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_spacing_gives_no_fit(self):
+        sweep = sweep_spacing(BASE, [1.0, 1.0])
+        assert math.isnan(sweep.gap_fit.slope) and math.isnan(sweep.alpha_estimate)
 
 
 class TestInfiniteDensity:
@@ -350,3 +369,13 @@ class TestFitLoglog:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_loglog([1.0, 2.0], [1.0, -1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_repeated_x(self):
+        with pytest.raises(ValueError, match="not enough distinct points left to fit"):
+            fit_loglog([1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_side_is_not_a_fit(self):
+        with pytest.raises(ValueError, match="not enough distinct points left to fit"):
+            sweep_fixed_density(BASE, [33, 33])
