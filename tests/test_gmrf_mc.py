@@ -6,10 +6,14 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gmrfinfo import gmrf_mc
 from gmrfinfo.gmrf_mc import (
     NonpositiveEigenvalueError,
     _hidden_limits,
+    _reflection_blocks,
     circulant_eigs,
     dense_circulant,
     dense_covariance,
@@ -21,7 +25,7 @@ from gmrfinfo.gmrf_mc import (
     toeplitz_circulant_gap,
 )
 from gmrfinfo.corrmap import rho_from_zeta
-from gmrfinfo.inforates import kli_rate_sfcar, stein_kli
+from gmrfinfo.inforates import _sfcar_rates, kli_rate_sfcar, stein_kli
 from gmrfinfo.spectra import (
     SfcarModel,
     SingularSpectrumError,
@@ -135,6 +139,17 @@ class TestLlr:
         with pytest.raises(ValueError):
             llr_per_node(np.zeros(63), 1.0, cs)
 
+    @settings(max_examples=30)
+    @given(st.integers(4, 9), st.floats(0.0, 0.249), st.floats(0.1, 4.0),
+           st.sampled_from([(1,), (3,), (2, 3)]), st.integers(0, 2**31))
+    def test_stack_matches_field_loop(self, n, zeta, sigma2, lead, seed):
+        cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(sfcar_for_snr(3.0, zeta, sigma2)), sigma2), n)
+        y = math.sqrt(sigma2) * np.random.default_rng(seed).standard_normal(lead + (n, n))
+        stacked = llr_per_node(y, sigma2, cs1)
+        loop = np.array([llr_per_node(field, sigma2, cs1) for field in y.reshape(-1, n, n)])
+        assert stacked.shape == lead
+        assert np.allclose(stacked.ravel(), loop, rtol=1e-13, atol=1e-15)
+
 
 class TestMcKli:
     def test_iid_case_hits_stein(self):
@@ -165,6 +180,36 @@ class TestMcKli:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             mc_kli_estimate(sfcar_for_snr(1.0, 0.0), 1.0, 16, 10, seed=0)
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("snr,zeta,sigma2", [(0.5, 0.0, 1.0), (10.0, 0.1, 0.6), (2.0, 0.2, 1.7),
+                                                 (20.0, 0.24, 1.0), (1.0, 0.249, 2.5)])
+    def test_mean_is_torus_rule(self, n, snr, zeta, sigma2):
+        # for even n the noise-law mean of the torus LLR is the n-point rectangle rule exactly
+        report = mc_kli_estimate(sfcar_for_snr(snr, zeta, sigma2), sigma2, n, 200, seed=n + 97)
+        exact = _sfcar_rates(snr, zeta, n)[0]
+        assert abs(report.mean - exact) / report.std_error < 5
+
+    @settings(max_examples=10)
+    @given(st.sampled_from([5, 8, 9, 16]), st.integers(30, 70), st.floats(0.0, 0.249),
+           st.integers(0, 2**31))
+    def test_independent_of_chunk_size(self, n, trials, zeta, seed):
+        model = sfcar_for_snr(4.0, zeta, 1.0)
+
+        def reports():
+            check = quadform_limit_check(model, 1.0, n, trials, seed)
+            return [mc_kli_estimate(model, 1.0, n, trials, seed), check.dense, check.circulant]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gmrf_mc, "_CHUNK_BYTES", 1)
+            one_field = reports()
+            mp.setattr(gmrf_mc, "_CHUNK_BYTES", trials * 8 * n * n)
+            runs = [reports()]
+        runs.append(reports())
+        for run in runs:
+            for a, b in zip(one_field, run):
+                assert b.mean == pytest.approx(a.mean, rel=1e-13, abs=1e-16)
+                assert b.std_error == pytest.approx(a.std_error, rel=1e-11)
 
 
 class TestDenseChecks:
@@ -253,6 +298,32 @@ class TestDenseChecks:
         model = sfcar_for_snr(1.0, 0.1)
         assert np.array_equal(dense_covariance(model, 1.0, np.int64(4)), dense_covariance(model, 1.0, 4))
 
+    @pytest.mark.parametrize("sigma2,message", [(-1.0, "sigma2 must be >= 0, got -1.0"),
+                                                (math.nan, "sigma2 must be finite, got nan"),
+                                                (math.inf, "sigma2 must be finite, got inf")],
+                             ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda m, s2: dense_covariance(m, s2, 4),
+        lambda m, s2: dense_circulant(m, s2, 4),
+        lambda m, s2: _reflection_blocks(m, s2, 4, wrap=False),
+        lambda m, s2: toeplitz_circulant_gap(m, s2, [4]),
+    ])
+    def test_bad_dense_sigma2_rejected(self, call, sigma2, message):
+        with pytest.raises(ValueError, match=message):
+            call(sfcar_for_snr(1.0, 0.1), sigma2)
+
+    @settings(max_examples=60)
+    @given(st.integers(4, 9), st.floats(0.0, 0.249), st.floats(0.0, 4.0), st.booleans())
+    def test_reflection_blocks_keep_the_spectrum(self, n, zeta, sigma2, wrap):
+        model = SfcarModel(kappa=1.0, zeta=zeta)
+        full = dense_circulant(model, sigma2, n) if wrap else dense_covariance(model, sigma2, n)
+        blocks = _reflection_blocks(model, sigma2, n, wrap)
+        sides = [(n + 1) // 2, n // 2]
+        assert [len(b) for b in blocks] == [a * b for a in sides for b in sides]
+        split = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        whole = np.linalg.eigvalsh(full)
+        assert np.abs(split - whole).max() <= 1e-12 * np.abs(whole).max()
+
 
 def gamma_mp(zeta, h1, h2):
     """Plane autocovariance of SfcarModel(1, zeta) at 30 digits: the w2 integral
@@ -271,6 +342,16 @@ def gamma_mp(zeta, h1, h2):
 def signal_gamma(model, n):
     """gamma[h1, h2] for offsets below n, read off the first row of the dense covariance."""
     return dense_covariance(model, 0.0, n)[0].reshape(n, n)
+
+
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def grid_mean(model, sigma2, fn):
@@ -318,10 +399,16 @@ class TestClosedFormW2:
     def test_dense_check_memory_stays_small(self):
         # the dense checks read offsets below n only; nothing of the quadrature grid's size^2
         model = sfcar_for_snr(1.0, 0.12)
-        tracemalloc.start()
-        try:
-            toeplitz_circulant_gap(model, 1.0, [8])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(lambda: toeplitz_circulant_gap(model, 1.0, [8])) < 4 * 2**20
+
+    @pytest.mark.parametrize("call", [
+        lambda m: mc_kli_estimate(m, 1.0, 128, 200, seed=1),
+        lambda m: mc_kli_estimate(m, 1.0, 64, 500, seed=1),
+        lambda m: quadform_limit_check(m, 1.0, 32, 100, seed=1),
+        lambda m: logdet_convergence(m, 1.0, [8, 16, 32]),
+        lambda m: toeplitz_circulant_gap(m, 1.0, [8, 16, 32]),
+    ])
+    def test_trial_and_block_memory_stays_small(self, call):
+        # trials go through a fixed chunk buffer and dense work through quarter-size blocks
+        model = sfcar_for_snr(2.0, 0.15)
+        assert traced_peak(lambda: call(model)) <= 8 * 2**20
