@@ -1,4 +1,6 @@
-"""Small shared helpers: input validation, bisection and golden-section search."""
+"""Small shared helpers: bisection, golden-section search, and input checks that raise a
+ValueError naming the keyword: ``check_finite`` (not NaN or inf), ``check_positive`` (finite
+and > 0), ``check_at_least`` (finite and >= a minimum) and ``check_side`` (a lattice side)."""
 
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def check_finite(**values: float) -> None:
-    """Raise ValueError naming the first keyword value that is NaN or infinite."""
+    """Raise ValueError naming the first keyword value that is NaN or infinite (no int is)."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not (isinstance(value, int) or math.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -23,6 +25,14 @@ def check_positive(**values: float) -> None:
         check_finite(**{name: value})
         if value <= 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def check_at_least(minimum: float, **values: float) -> None:
+    """Raise ValueError naming the first keyword value that is not finite and >= minimum."""
+    for name, value in values.items():
+        check_finite(**{name: value})
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def check_side(n: int, minimum: int) -> None:

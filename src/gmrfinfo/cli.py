@@ -26,7 +26,7 @@ from .network import (
     sweep_spacing,
 )
 from .spectra import sfcar_for_snr
-from ._util import check_finite, check_positive
+from ._util import check_at_least, check_finite, check_positive
 
 __all__ = ["main", "emit_plotdata", "DEFAULT_SEED"]
 
@@ -255,16 +255,16 @@ def _run_rates(args):
           f"quad_error={result.quad_error_estimate:.3g} grid={result.grid}")
     rows = [{"snr": _snr_linear(args), "zeta": args.zeta, "kli": result.kli,
              "mi": result.mi, "quad_error": result.quad_error_estimate}]
-    return rows, ["snr", "zeta", "kli", "mi", "quad_error"], {}
+    return rows, {}
 
 
 def _run_sweep_zeta(args):
     snr = _snr_linear(args)
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
-    pairs = [_sfcar_rates(snr, z, args.grid) for z in zetas]
+    pairs = [_sfcar_rates(snr, z, args.grid) for z in zetas.tolist()]
     rows = [{"zeta": float(z), "kli": k, "mi": m} for z, (k, m) in zip(zetas, pairs)]
     print(f"swept {len(rows)} zeta points at snr={snr:.6g}")
-    return rows, ["zeta", "kli", "mi"], {}
+    return rows, {}
 
 
 def _run_sweep_snr(args):
@@ -277,7 +277,7 @@ def _run_sweep_snr(args):
     rows = [{"snr_db": db, "snr": snr, "kli": k, "mi": m}
             for db, snr, (k, m) in zip(dbs, snrs, pairs)]
     print(f"swept {len(rows)} SNR points at zeta={args.zeta}")
-    return rows, ["snr_db", "snr", "kli", "mi"], {}
+    return rows, {}
 
 
 def _run_optimal_zeta(args):
@@ -294,7 +294,7 @@ def _run_optimal_zeta(args):
     rows = [{"snr_db": db, "zeta_star": z, "kli_star": v}
             for db, (z, v) in zip(dbs, results)]
     print(f"optimal zeta over {len(rows)} SNR points")
-    return rows, ["snr_db", "zeta_star", "kli_star"], {}
+    return rows, {}
 
 
 def _run_mc_verify(args):
@@ -306,7 +306,7 @@ def _run_mc_verify(args):
           f"quadrature target={target:.8g} n={args.n} trials={args.trials}")
     rows = [{"n": args.n, "trials": args.trials, "seed": args.seed, "mean": report.mean,
              "std_error": report.std_error, "target": target}]
-    return rows, ["n", "trials", "seed", "mean", "std_error", "target"], {}
+    return rows, {}
 
 
 def _run_scaling(args):
@@ -325,12 +325,12 @@ def _run_scaling(args):
     }
     print(f"eta-vs-area slope {sweep.eta_vs_area.slope:.4f}, "
           f"info-vs-energy slope {sweep.info_vs_energy.slope:.4f}")
-    return rows, ["n", "area", "snr", "zeta", "per_node_info", "total_info",
-                  "total_energy", "efficiency"], extras
+    return rows, extras
 
 
 def _run_spacing(args):
     snr = _snr_linear(args)
+    check_at_least(0, snr=snr)  # before the config, which would blame its es field
     cfg = NetworkConfig(n=2, dn=1.0, es=snr, e0=1.0, nu=2.0, alpha=args.alpha, beta=1.0)
     dns = list(np.linspace(args.dn_min, args.dn_max, args.points))
     sweep = sweep_spacing(cfg, dns, args.measure, args.grid)
@@ -339,7 +339,7 @@ def _run_spacing(args):
     extras = {"limit": sweep.limit, "gap_fit_slope": sweep.gap_fit.slope,
               "alpha_estimate": sweep.alpha_estimate}
     print(f"decorrelated limit {sweep.limit:.6g}, gap-fit slope {sweep.gap_fit.slope:.4f}")
-    return rows, ["dn", "rate", "gap"], extras
+    return rows, extras
 
 
 def _run_density(args):
@@ -349,7 +349,7 @@ def _run_density(args):
             for m, r, p in zip(sweep.mu_list, sweep.rates, sweep.per_area_info)]
     extras = {"plateau_variation": sweep.plateau_variation}
     print(f"top-decade variation of mu*rate: {sweep.plateau_variation:.4f}")
-    return rows, ["mu", "rate", "per_area_info"], extras
+    return rows, extras
 
 
 def _run_energy(args):
@@ -360,7 +360,7 @@ def _run_energy(args):
     extras = {"increments": list(sweep.increments)}
     print("total-info increments per budget step:",
           " ".join(f"{v:.4g}" for v in sweep.increments))
-    return rows, ["et", "total_info"], extras
+    return rows, extras
 
 
 def _run_optimal_density(args):
@@ -376,7 +376,7 @@ def _run_optimal_density(args):
     print(f"optimal density mu*={result.mu_star:.6g} nodes/m^2, "
           f"total information {result.info_star:.6g} nats "
           f"({len(result.local_maxima)} local maxima on the grid)")
-    return rows, ["mu", "total_info"], extras
+    return rows, extras
 
 
 _RUNNERS = {
@@ -399,9 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(argv)
         if "points" in vars(args):
             check_positive(**{"--points": args.points})
-        rows, schema, extras = _RUNNERS[args.command](args)
+        rows, extras = _RUNNERS[args.command](args)
         if args.output:
-            emit_plotdata(rows, schema, args.output)
+            emit_plotdata(rows, list(rows[0]), args.output)
             config = {k: v for k, v in vars(args).items() if k not in ("command",)}
             _write_metadata(args.output, args.command, config, extras)
             print(f"wrote {args.output} ({len(rows)} rows) and {args.output}.meta.json")

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._util import bisect, check_finite, check_positive
+from ._util import bisect, check_at_least, check_positive
 from .specfun import _agm, bessel_k1
+from .spectra import check_zeta
 
 __all__ = [
     "PhysicalField",
@@ -39,8 +40,7 @@ def rho_from_zeta(zeta: float) -> float:
     rho = (q - 1) / (4 zeta q) = (1 - M) / (4 zeta) with q = (2/pi) K(4 zeta) = 1 / M,
     M = AGM(1, sqrt(1 - 16 zeta^2)); 0 -> 0 and 1/4 -> 1 map exactly.
     """
-    if not 0.0 <= zeta <= 0.25:
-        raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
+    check_zeta(zeta)
     if zeta == 0.25:
         return 1.0
     return _agm(4.0 * zeta)[1]
@@ -65,9 +65,7 @@ def rho_from_spacing(field: PhysicalField, dn: float) -> float:
     h decays like sqrt(dn) exp(-alpha dn) for large spacing.  The value is
     clamped to [0, 1] against rounding overshoot near dn = 0.
     """
-    check_finite(spacing=dn)
-    if dn < 0.0:
-        raise ValueError(f"spacing must be >= 0, got {dn!r}")
+    check_at_least(0, spacing=dn)
     if dn == 0.0:
         return 1.0
     x = field.alpha * dn

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_finite, check_positive, check_side
+from ._util import check_at_least, check_positive, check_side
 from .spectra import (
     SfcarModel,
     SpectralDensity,
@@ -44,7 +44,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _DENSE_LOGDET_MAX = 48   # the four reflection blocks hold n^4 / 4 entries
-_DENSE_INVERSE_MAX = 32
+_BLOCK_CHECK_MAX = 32    # per-block solves (quadform_limit_check) and eigvalsh (toeplitz_circulant_gap)
 _COV_GRID = 1024         # w1 nodes of the quadratures left after the closed-form w2 integrals
 _CHUNK_BYTES = 2**20     # Monte Carlo fields are drawn and reduced this many bytes at a time
 
@@ -230,9 +230,7 @@ def _gamma_table(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     so the larger offset goes to the closed form (a w1 sum reaches its small power only by
     cancellation).  sigma2 = 0 gives the signal covariance alone."""
     check_side(n, 1)
-    check_finite(sigma2=sigma2)
-    if sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2!r}")
+    check_at_least(0, sigma2=sigma2)
     a, b, s = _w2_closed_form(model.zeta, 1.0, 0.0)
     h = np.arange(n)
     tab = np.cos(np.outer(h, omega_grid(_COV_GRID))) @ ((b / (a + s))[:, None] ** h / s[:, None])
@@ -369,8 +367,8 @@ def quadform_limit_check(
     both converge to the spectral integral of sigma2 / ((2 pi)^2 f1).  The
     same noise fields drive both paths.
     """
-    if n > _DENSE_INVERSE_MAX:
-        raise ValueError(f"dense inverse limited to n <= {_DENSE_INVERSE_MAX}, got {n}")
+    if n > _BLOCK_CHECK_MAX:
+        raise ValueError(f"dense quadratic form limited to n <= {_BLOCK_CHECK_MAX}, got {n}")
     target = _hidden_limits(model, sigma2)[1]
     chols = [_cholesky(block) for block in _reflection_blocks(model, sigma2, n, wrap=False)]
     bases = [basis for _, _, basis in _parity_bases(n)]
@@ -401,8 +399,8 @@ def toeplitz_circulant_gap(
     reflection blocks of the difference."""
     out = []
     for n in n_list:
-        if n > _DENSE_INVERSE_MAX:
-            raise ValueError(f"dense eigendecomposition limited to n <= {_DENSE_INVERSE_MAX}, got {n}")
+        if n > _BLOCK_CHECK_MAX:
+            raise ValueError(f"dense eigendecomposition limited to n <= {_BLOCK_CHECK_MAX}, got {n}")
         pairs = zip(_reflection_blocks(model, sigma2, n, wrap=False),
                     _reflection_blocks(model, sigma2, n, wrap=True))
         # each difference block is symmetric, so its singular values are its absolute eigenvalues

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import check_finite, check_positive, golden_section_max
+from ._util import check_at_least, check_positive, golden_section_max
 from .specfun import _agm, elliptic_k
-from .spectra import SpectralDensity, omega_grid
+from .spectra import SpectralDensity, check_zeta, omega_grid
 
 __all__ = [
     "InfoRateResult",
@@ -70,12 +70,6 @@ def _cos_sum(grid: int) -> np.ndarray:
     return out
 
 
-def _check_snr(snr: float) -> None:
-    check_finite(snr=snr)
-    if snr < 0.0:
-        raise ValueError(f"snr must be >= 0, got {snr!r}")
-
-
 def _sfcar_rates(snr: float, zeta: float, grid: int,
                  kli: bool = True, mi: bool = True) -> tuple[float, float]:
     """(KLI, MI) of the hidden SFCAR from one grid pass; a rate not asked for is NaN.
@@ -84,9 +78,8 @@ def _sfcar_rates(snr: float, zeta: float, grid: int,
     MI = mean(h) and KLI = mean(h - a / (2 (1 + a))) with h = log1p(a) / 2.
     zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
-    _check_snr(snr)
-    if not 0.0 <= zeta <= 0.25:
-        raise ValueError(f"zeta must lie in [0, 1/4], got {zeta!r}")
+    check_at_least(0, snr=snr)
+    check_zeta(zeta)
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
     q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
@@ -116,8 +109,16 @@ def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoR
 
 def stein_kli(snr: float) -> float:
     """KLI rate of i.i.d. observations: 0.5 log(1+SNR) - 0.5 (1 - 1/(1+SNR))."""
-    _check_snr(snr)
+    check_at_least(0, snr=snr)
     return 0.5 * math.log1p(snr) - 0.5 * snr / (1.0 + snr)
+
+
+def _scaled_grid(f: SpectralDensity, sigma2: float, grid: int) -> np.ndarray:
+    """(2 pi)^d f / sigma^2 on the grid^d quadrature grid of the general rates (d <= 3)."""
+    check_positive(sigma2=sigma2)
+    if f.dim > 3:
+        raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
+    return (2.0 * math.pi) ** f.dim * f.grid_values(grid) / sigma2
 
 
 def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
@@ -126,10 +127,7 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
     (2 pi)^{-d} integral of the bin-wise Gaussian Kullback-Leibler divergence
     D(N(0, sigma^2) || N(0, (2 pi)^d f1)); nonnegative term by term.
     """
-    check_positive(sigma2=sigma2)
-    if f1.dim > 3:
-        raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
-    r = (2.0 * math.pi) ** f1.dim * f1.grid_values(grid) / sigma2
+    r = _scaled_grid(f1, sigma2, grid)
     if not np.all(np.isfinite(r)) or r.min() <= 0.0:
         raise ValueError("alternative spectrum must be finite and strictly positive")
     return float(np.mean(0.5 * np.log(r) - 0.5 * (1.0 - 1.0 / r)))
@@ -137,13 +135,9 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
 
 def mi_rate_general(f: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate for a general d-D signal spectrum f (d <= 3)."""
-    check_positive(sigma2=sigma2)
-    if f.dim > 3:
-        raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
-    vals = f.grid_values(grid)
-    if not np.all(np.isfinite(vals)) or vals.min() < 0.0:
+    a = _scaled_grid(f, sigma2, grid)
+    if not np.all(np.isfinite(a)) or a.min() < 0.0:
         raise ValueError("signal spectrum must be finite and nonnegative")
-    a = (2.0 * math.pi) ** f.dim * vals / sigma2
     return float(np.mean(0.5 * np.log1p(a)))
 
 

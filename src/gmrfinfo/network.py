@@ -14,7 +14,7 @@ import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import bisect, check_finite, check_positive, check_side, golden_section_max
+from ._util import bisect, check_at_least, check_finite, check_positive, check_side, golden_section_max
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -48,12 +48,6 @@ class InfeasibleEnergyError(ValueError):
     """The energy budget cannot cover the required communication energy."""
 
 
-def _check_nu(nu: float) -> None:
-    check_finite(nu=nu)
-    if nu < 2.0:
-        raise ValueError(f"nu must be >= 2, got {nu!r}")
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Lattice sensor network: n^2 nodes with spacing dn [m], sensing energy
@@ -76,10 +70,8 @@ class NetworkConfig:
     def __post_init__(self):
         check_side(self.n, 2)
         check_positive(dn=self.dn, e0=self.e0, beta=self.beta)
-        check_finite(es=self.es)
-        if self.es < 0.0:
-            raise ValueError(f"es must be >= 0, got {self.es!r}")
-        _check_nu(self.nu)
+        check_at_least(0, es=self.es)
+        check_at_least(2, nu=self.nu)
         PhysicalField(self.alpha)  # validates alpha
 
     @property
@@ -425,7 +417,7 @@ def optimal_density(
     reported alongside.
     """
     check_positive(L=L, et=et, beta=beta, e0=e0)
-    _check_nu(nu)
+    check_at_least(2, nu=nu)
     if mu_grid is None:
         mu_grid = np.logspace(-1, 4, 201)
     field = PhysicalField(alpha)

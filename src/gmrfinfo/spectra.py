@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import check_finite, check_positive
+from ._util import check_at_least, check_finite, check_positive
 from .specfun import elliptic_k
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "CarModel",
     "SfcarModel",
     "SpectralDensity",
+    "check_zeta",
     "omega_grid",
     "car_spectrum",
     "sfcar_spectrum",
@@ -68,8 +69,7 @@ class SfcarModel:
     def __post_init__(self):
         if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
             raise InvalidModelError(f"kappa must be positive, got {self.kappa!r}")
-        if not 0.0 <= self.zeta <= 0.25:
-            raise InvalidModelError(f"zeta must lie in [0, 1/4], got {self.zeta!r}")
+        check_zeta(self.zeta)
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,15 @@ class SpectralDensity:
         return np.asarray(self.evaluator(*axes), dtype=float)
 
 
+def check_zeta(zeta: float) -> None:
+    """Raise InvalidModelError unless zeta lies in the SFCAR domain [0, 1/4]; NaN lies outside it."""
+    if not 0.0 <= zeta <= 0.25:
+        raise InvalidModelError(f"zeta must lie in [0, 1/4], got {zeta!r}")
+
+
 def omega_grid(n: int) -> np.ndarray:
     """Uniform angular grid -pi + 2*pi*i/n, i = 0..n-1 (periodic rectangle rule)."""
-    if n < 1:
-        raise ValueError(f"grid must be >= 1, got {n!r}")
+    check_at_least(1, grid=n)
     return -math.pi + TWO_PI * np.arange(n) / n
 
 
@@ -162,6 +167,7 @@ def sfcar_spectrum(model: SfcarModel) -> SpectralDensity:
 
 def constant_spectrum(value: float, dim: int = 2) -> SpectralDensity:
     """Flat spectrum f = value everywhere (white field of power value*(2 pi)^d)."""
+    check_finite(value=value)
     if value < 0.0:
         raise InvalidModelError("spectrum value must be nonnegative")
 
@@ -191,7 +197,7 @@ def sfcar_for_snr(snr: float, zeta: float, sigma2: float = 1.0) -> SfcarModel:
     """
     check_positive(snr=snr, sigma2=sigma2)
     check_finite(zeta=zeta)
-    SfcarModel(1.0, zeta)  # a zeta outside [0, 1/4] is an InvalidModelError
+    check_zeta(zeta)
     if zeta == 0.25:
         raise SingularModelError("no finite-power model exists at zeta = 1/4")
     kappa = 2.0 * elliptic_k(4.0 * zeta) / (math.pi * snr * sigma2)

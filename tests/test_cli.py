@@ -258,6 +258,10 @@ class TestErrorPaths:
         (["optimal-zeta", "--snr-db-min", "2", "--snr-db-max", "1"],
          "--snr-db-max (1.0) is below --snr-db-min (2.0)"),
         (["spacing", "--snr-db", "0", "--dn-min", "0", "--points", "3"], "spacing must be positive, got 0.0"),
+        (["spacing", "--snr-linear", "-1"], "snr must be >= 0, got -1.0"),
+        (["spacing", "--snr-linear", "nan"], "snr must be finite, got nan"),
+        (["sweep-zeta", "--snr-db", "0", "--zeta-max", "0.3", "--points", "3"],
+         "zeta must lie in [0, 1/4], got 0.3"),
     ])
     def test_bad_input_is_one_named_error_line(self, capfd, argv, message):
         code = main(argv)
@@ -265,6 +269,18 @@ class TestErrorPaths:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_spacing_at_zero_snr_runs(self, capfd):
+        assert main(["spacing", "--snr-linear", "0", "--points", "3", "--grid", "16"]) == 0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag", ["--grid", "--points"])
+    def test_huge_integer_flag_is_an_error_line(self, capfd, flag):
+        # an int too large for a float still passes the finite check and fails as a size
+        code = main(["sweep-zeta", "--snr-db", "0", "--points", "3", flag, "1" + "0" * 400])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,flag", [
         (["rates", "--snr-db", "4000", "--zeta", "0.1"], "--snr-db"),

@@ -176,6 +176,16 @@ class TestGeneralRates:
         with pytest.raises(ValueError):
             kli_rate_general(constant_spectrum(0.0), 1.0, 64)
 
+    def test_mi_dimension_cap(self):
+        with pytest.raises(ValueError, match=r"supports d <= 3 only"):
+            mi_rate_general(constant_spectrum(1.0, dim=4), 1.0, 64)
+
+    def test_mi_overflowing_scaled_spectrum_is_an_error(self):
+        # f is finite, but (2 pi)^2 f / sigma2 overflows: an error, not an infinite rate
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="signal spectrum must be finite and nonnegative"):
+            mi_rate_general(constant_spectrum(1e307), 1e-10, 16)
+
     @pytest.mark.parametrize("rate", [kli_rate_general, mi_rate_general])
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -math.inf])
     def test_nonfinite_sigma2_rejected(self, rate, sigma2):

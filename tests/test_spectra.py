@@ -212,6 +212,11 @@ class TestSnrHelpers:
         with pytest.raises(SingularModelError, match="no finite-power model exists at zeta = 1/4"):
             sfcar_for_snr(1.0, 0.25)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constant_spectrum_nonfinite_named(self, value):
+        with pytest.raises(ValueError, match=f"^value must be finite, got {value!r}$"):
+            constant_spectrum(value)
+
     def test_hidden_spectrum_offset(self):
         base = constant_spectrum(0.5, dim=2)
         hid = hidden_spectrum(base, sigma2=2.0)

@@ -1,13 +1,28 @@
-"""Shared helpers: bisection."""
+"""Shared helpers: bisection and the input checks at every site that uses them."""
 
 import math
 from dataclasses import replace
 
 import pytest
 
-from gmrfinfo._util import bisect
-from gmrfinfo.corrmap import rho_from_zeta, zeta_from_rho
-from gmrfinfo.network import NetworkConfig, hop_sum, hop_sum_closed, sweep_fixed_pernode_energy
+from gmrfinfo._util import bisect, check_at_least, check_finite
+from gmrfinfo.corrmap import PhysicalField, rho_from_spacing, rho_from_zeta, zeta_from_rho
+from gmrfinfo.gmrf_mc import dense_covariance
+from gmrfinfo.inforates import kli_rate_general, kli_rate_sfcar, mi_rate_general, stein_kli
+from gmrfinfo.network import (
+    NetworkConfig,
+    hop_sum,
+    hop_sum_closed,
+    optimal_density,
+    sweep_fixed_pernode_energy,
+)
+from gmrfinfo.spectra import (
+    InvalidModelError,
+    SfcarModel,
+    constant_spectrum,
+    omega_grid,
+    sfcar_for_snr,
+)
 
 A9_BASE = NetworkConfig(n=33, dn=1.0, es=1.0, e0=1.0, nu=2.0, alpha=1.0, beta=10.0)
 A9_SIDES = [33, 65, 129, 257]
@@ -79,3 +94,70 @@ class TestBisect:
             old = float(n) if fits(float(n)) else lo
             assert old == (float(n) if fits(float(n)) else bisect(fits, 1.0, float(n), 0.0)[0])
             assert side == old
+
+
+def _at_least(name, minimum, below):
+    """The (value, class, message) cases of a check_at_least site."""
+    return [(math.nan, ValueError, f"{name} must be finite, got nan"),
+            (math.inf, ValueError, f"{name} must be finite, got inf"),
+            (below, ValueError, f"{name} must be >= {minimum}, got {below!r}")]
+
+
+def _zeta_domain():
+    return [(z, InvalidModelError, f"zeta must lie in [0, 1/4], got {z!r}")
+            for z in (math.nan, math.inf, -0.1)]
+
+
+def _config(**fields):
+    return NetworkConfig(**{"n": 3, "dn": 1.0, "es": 1.0, "e0": 1.0, "nu": 2.0, "alpha": 1.0,
+                            "beta": 1.0, **fields})
+
+
+# every site that validates an input through the shared checks: the call, then
+# NaN, inf and a value below the bound with the exact class and message each raises
+INPUT_SITES = {
+    "kli_rate_sfcar snr": (lambda v: kli_rate_sfcar(v, 0.1, 16), _at_least("snr", 0, -1.0)),
+    "stein_kli snr": (stein_kli, _at_least("snr", 0, -1.0)),
+    "NetworkConfig nu": (lambda v: _config(nu=v), _at_least("nu", 2, 1.5)),
+    "optimal_density nu": (lambda v: optimal_density(2.0, 50.0, 100.0, 1.0, 0.1, v),
+                           _at_least("nu", 2, 1.5)),
+    "NetworkConfig es": (lambda v: _config(es=v), _at_least("es", 0, -1.0)),
+    "dense_covariance sigma2": (lambda v: dense_covariance(SfcarModel(1.0, 0.1), v, 4),
+                                _at_least("sigma2", 0, -1.0)),
+    "rho_from_spacing spacing": (lambda v: rho_from_spacing(PhysicalField(1.0), v),
+                                 _at_least("spacing", 0, -1.0)),
+    "omega_grid grid": (omega_grid, _at_least("grid", 1, 0)),
+    "SfcarModel zeta": (lambda v: SfcarModel(1.0, v), _zeta_domain()),
+    "kli_rate_sfcar zeta": (lambda v: kli_rate_sfcar(1.0, v, 16), _zeta_domain()),
+    "rho_from_zeta zeta": (rho_from_zeta, _zeta_domain()),
+    "sfcar_for_snr zeta": (lambda v: sfcar_for_snr(1.0, v),
+                           [(math.nan, ValueError, "zeta must be finite, got nan"),
+                            (math.inf, ValueError, "zeta must be finite, got inf"),
+                            (-0.1, InvalidModelError, "zeta must lie in [0, 1/4], got -0.1")]),
+    **{f"{rate.__name__} sigma2": (lambda v, rate=rate: rate(constant_spectrum(1.0), v, 16),
+                                   [(math.nan, ValueError, "sigma2 must be finite, got nan"),
+                                    (math.inf, ValueError, "sigma2 must be finite, got inf"),
+                                    (0.0, ValueError, "sigma2 must be positive, got 0.0")])
+       for rate in (kli_rate_general, mi_rate_general)},
+    "constant_spectrum value": (constant_spectrum,
+                                [(math.nan, ValueError, "value must be finite, got nan"),
+                                 (math.inf, ValueError, "value must be finite, got inf"),
+                                 (-1.0, InvalidModelError, "spectrum value must be nonnegative")]),
+}
+
+
+@pytest.mark.parametrize("site,value,cls,message", [
+    pytest.param(site, value, cls, message, id=f"{site}={value!r}")
+    for site, (_, cases) in INPUT_SITES.items() for value, cls, message in cases])
+def test_input_check_names_the_value(site, value, cls, message):
+    with pytest.raises(ValueError) as info:
+        INPUT_SITES[site][0](value)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def test_check_at_least_accepts_the_bound_and_any_int():
+    check_at_least(0, snr=0.0)
+    check_at_least(2, nu=2)
+    check_at_least(1, grid=10**400)  # too large for a float, but still a finite int
+    check_finite(n=10**400)
