@@ -1,6 +1,7 @@
 """Small shared helpers: bisection, golden-section search, and input checks that raise a
 ValueError naming the keyword: ``check_finite`` (not NaN or inf), ``check_positive`` (finite
-and > 0), ``check_at_least`` (finite and >= a minimum) and ``check_side`` (a lattice side)."""
+and > 0), ``check_at_least`` (finite and >= a minimum) and ``check_integer`` (an integer >= a
+minimum, such as a lattice side, a grid or a trial count)."""
 
 from __future__ import annotations
 
@@ -35,12 +36,14 @@ def check_at_least(minimum: float, **values: float) -> None:
             raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_side(n: int, minimum: int) -> None:
-    """Raise ValueError unless the lattice side n is an integer (numpy integers too) >= minimum."""
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < minimum:
-        raise ValueError(f"n must be >= {minimum}, got {n}")
+def check_integer(minimum: int, **values: int) -> None:
+    """Raise ValueError naming the first keyword value that is not an integer (numpy integers
+    too) >= minimum."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -108,9 +108,14 @@ def _add_snr(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-linear", type=float, default=None, help="measurement SNR, linear ratio")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors reach main as ValueError, so as one error line
+        raise ValueError(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The CLI parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmrfinfo",
         description="Information rates of hidden lattice Gauss-Markov fields "
                     "and sensor-network scaling experiments.",
@@ -211,42 +216,39 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a ``--config`` JSON object supplies defaults, explicit flags win."""
+    """Parse argv; a ``--config`` JSON object stands for the flags it names, and typed flags win."""
     parser, commands = build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", nargs="?")  # a missing path is left to the full parse
-    path = pre.parse_known_args(argv)[0].config
+    pre = _Parser(add_help=False)
+    for flag in ("--config", "--snr-db", "--snr-linear"):
+        pre.add_argument(flag, nargs="?")  # a missing value is left to the full parse
+    known = pre.parse_known_args(argv)[0]
     command = commands.get(argv[0]) if argv else None
-    snr = {}
-    if path is not None and command is not None:
-        with open(path) as fh:
+    actions = {a.dest: a for a in command._actions if a.dest != "help"} if command else {}
+    typed_snr = [v for v in (known.snr_db, known.snr_linear) if v is not None]
+    if len(typed_snr) > 1 and "snr_db" in actions:
+        raise ValueError("give one of --snr-db and --snr-linear, not both")
+    flags = []
+    if known.config is not None and command is not None:
+        with open(known.config) as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        actions = {a.dest: a for a in command._actions if a.dest != "help"}
+            raise ValueError(f"config file {known.config} must hold a JSON object")
         unknown = sorted(set(values) - set(actions))
         if unknown:
             raise ValueError(f"unknown config key(s) for {argv[0]}: {', '.join(unknown)}")
+        if "snr_db" in values and "snr_linear" in values:
+            raise ValueError(f"config file {known.config} sets both snr_db and snr_linear; give one")
         for key, value in values.items():
-            action = actions[key]
-            action.required = False
-            try:  # the conversion the flag itself would apply
-                if action.type is not None:
-                    values[key] = [action.type(v) for v in value] if action.nargs else action.type(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-        # the file's SNR applies only where neither SNR flag is given
-        snr = {key: values.pop(key) for key in ("snr_db", "snr_linear") if key in values}
-        if len(snr) > 1:
-            raise ValueError(f"config file {path} sets both snr_db and snr_linear; give one")
-        command.set_defaults(**values)
-    args = parser.parse_args(argv)
-    if "snr_db" in vars(args):  # the command reads an SNR
-        if args.snr_db is not None and args.snr_linear is not None:
-            raise ValueError("give one of --snr-db and --snr-linear, not both")
-        if args.snr_db is None and args.snr_linear is None:
-            vars(args).update(snr)
-    return args
+            action, flag = actions[key], actions[key].option_strings[0]
+            if typed_snr and key in ("snr_db", "snr_linear"):
+                continue  # a typed SNR flag replaces the file's SNR of either kind
+            if action.nargs == 0 and isinstance(value, bool):  # a switch: true is the flag
+                flags += [flag] * value
+            elif action.nargs and isinstance(value, list) and not any(isinstance(v, str) for v in value):
+                flags += [flag, *map(str, value)]  # numbers only: a string item could read as a flag
+            else:  # the = form lets negative values parse
+                flags.append(f"{flag}={value}")
+    return parser.parse_args(argv[:1] + flags + argv[1:])  # argparse keeps a flag's last value
 
 
 def _run_rates(args):

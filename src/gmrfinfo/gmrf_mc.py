@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_at_least, check_positive, check_side
+from ._util import check_at_least, check_integer, check_positive
 from .spectra import (
     SfcarModel,
     SpectralDensity,
@@ -88,7 +88,7 @@ class QuadformCheck:
 def circulant_eigs(spec: SpectralDensity, n: int) -> CirculantSpectrum:
     """Torus covariance eigenvalues lambda_i = (2 pi)^d f(omega_i) for an
     n-per-side lattice (the exact stationary torus model)."""
-    check_side(n, 4)
+    check_integer(4, n=n)
     d = spec.dim
     w = TWO_PI * np.arange(n) / n
     axes = np.meshgrid(*[w] * d, indexing="ij")
@@ -161,6 +161,7 @@ def _noise_trials(model: SfcarModel, sigma2: float, n: int, trials: int, seed: i
     about _CHUNK_BYTES, so each chunk must be used up before the next is drawn."""
     if trials < 30:
         raise ValueError(f"need at least 30 trials for a standard error, got {trials}")
+    check_integer(30, trials=trials)
     cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     return cs1, _field_chunks(cs1.eigs.shape, math.sqrt(sigma2), seeds)
@@ -229,7 +230,7 @@ def _gamma_table(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     integral in closed form and the w1 integral by the trapezoid rule; gamma is symmetric,
     so the larger offset goes to the closed form (a w1 sum reaches its small power only by
     cancellation).  sigma2 = 0 gives the signal covariance alone."""
-    check_side(n, 1)
+    check_integer(1, n=n)
     check_at_least(0, sigma2=sigma2)
     a, b, s = _w2_closed_form(model.zeta, 1.0, 0.0)
     h = np.arange(n)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import bisect, check_at_least, check_finite, check_positive, check_side, golden_section_max
+from ._util import bisect, check_at_least, check_finite, check_integer, check_positive, golden_section_max
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -68,15 +68,11 @@ class NetworkConfig:
     fusion: bool = False
 
     def __post_init__(self):
-        check_side(self.n, 2)
+        check_integer(2, n=self.n)
         check_positive(dn=self.dn, e0=self.e0, beta=self.beta)
         check_at_least(0, es=self.es)
         check_at_least(2, nu=self.nu)
         PhysicalField(self.alpha)  # validates alpha
-
-    @property
-    def side_length(self) -> float:
-        return self.n * self.dn
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def hop_sum(n: int) -> int:
     """Total hop count sum_{ij} |i - floor(n/2)| + |j - floor(n/2)|:
     n(n-1)(n+1)/2 for odd n and n^3/2 for even n.
     """
-    check_side(n, 1)
+    check_integer(1, n=n)
     return n * (n - 1) * (n + 1) // 2 if n % 2 else n**3 // 2
 
 
@@ -190,6 +186,8 @@ def fit_loglog(x: Sequence[float], y: Sequence[float], drop_smallest: float = 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("log-log fit requires finite data")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit requires positive data")
     order = np.argsort(x)
@@ -250,6 +248,8 @@ def sweep_fixed_pernode_energy(
     exponent in the node count N = n^2 is the quantity of interest.
     """
     n_sorted = _sorted_nonempty(n_list, "sides")
+    for n in n_sorted:
+        check_integer(2, n=n)
     n0 = n_sorted[0]
     ebar = cfg.es + total_energy(replace(cfg, n=n0, es=0.0)) / n0**2
     rate = network_report(cfg, measure, grid).per_node_info

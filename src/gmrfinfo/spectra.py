@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._util import check_at_least, check_finite, check_positive
+from ._util import check_at_least, check_finite, check_integer, check_positive
 from .specfun import elliptic_k
 
 __all__ = [
@@ -124,6 +124,7 @@ def check_zeta(zeta: float) -> None:
 def omega_grid(n: int) -> np.ndarray:
     """Uniform angular grid -pi + 2*pi*i/n, i = 0..n-1 (periodic rectangle rule)."""
     check_at_least(1, grid=n)
+    check_integer(1, grid=n)
     return -math.pi + TWO_PI * np.arange(n) / n
 
 

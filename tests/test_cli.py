@@ -371,6 +371,89 @@ class TestErrorPaths:
         assert "mc mean=" in out and "target=" in out
 
 
+# BASE_ARGV as --config objects, with the grid of the cheap runs
+BASE_CONFIG = {
+    "rates": {"snr_db": 0, "zeta": 0.1},
+    "sweep-zeta": {"snr_db": 0, "points": 3},
+    "sweep-snr": {"zeta": 0.1, "points": 3},
+    "optimal-zeta": {"snr_db_min": 0, "snr_db_max": 1, "step_db": 1},
+    "mc-verify": {"snr_db": 0, "zeta": 0.1, "n": 8, "trials": 30},
+    "scaling": {"n_list": [9, 17]},
+    "spacing": {"snr_db": 0, "points": 3},
+    "density": {"snr_db": 0, "points": 3},
+    "energy": {"et_list": [1e4, 1e5]},
+    "optimal-density": {"L": 2, "et": 50, "alpha": 100, "beta": 1, "e0": 0.1, "nu": 2, "points": 5},
+}
+
+
+class TestConfigAsFlags:
+    """A --config object stands for the flags it names and goes through the same parser."""
+
+    def outputs(self, capfd, tmp_path, name, *argv, config=None):
+        path = tmp_path / f"{name}.csv"
+        if config is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            argv += ("--config", str(tmp_path / f"{name}.json"))
+        code = main([*argv, "--output", str(path)])
+        captured = capfd.readouterr()
+        assert code == 0, captured.err
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        del meta["config"]["config"], meta["config"]["output"]
+        return path.read_bytes(), meta
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_config_matches_flags(self, capfd, tmp_path, command):
+        typed = self.outputs(capfd, tmp_path, "typed", command, *BASE_ARGV[command], "--grid", "16")
+        filed = self.outputs(capfd, tmp_path, "filed", command,
+                             config={**BASE_CONFIG[command], "grid": 16})
+        assert filed == typed
+
+    def test_switch_takes_true_or_false(self, capfd, tmp_path):
+        argv = ("scaling", "--n-list", "9", "17", "--grid", "16")
+        on = self.outputs(capfd, tmp_path, "on", *argv, "--fusion")
+        off = self.outputs(capfd, tmp_path, "off", *argv)
+        assert on != off
+        assert self.outputs(capfd, tmp_path, "true", *argv, config={"fusion": True}) == on
+        assert self.outputs(capfd, tmp_path, "false", *argv, config={"fusion": False}) == off
+
+    def test_negative_value(self, capfd, tmp_path):
+        typed = self.outputs(capfd, tmp_path, "typed", "rates", "--snr-db", "-5", "--zeta", "0.1")
+        assert self.outputs(capfd, tmp_path, "filed", "rates",
+                            config={"snr_db": -5, "zeta": 0.1}) == typed
+
+    @pytest.mark.parametrize("key,flag", [("snr_linear", "--snr-db"), ("snr_db", "--snr-linear")])
+    def test_typed_snr_leaves_file_snr_null(self, capfd, tmp_path, key, flag):
+        _, meta = self.outputs(capfd, tmp_path, "out", "rates", flag, "10",
+                               config={key: 2, "zeta": 0.1})
+        assert meta["config"][key] is None
+
+    @pytest.mark.parametrize("command,config,flag,reason", [
+        ("scaling", {"fusion": "false"}, "--fusion", "ignored explicit argument"),
+        ("scaling", {"n_list": [33.7, 65]}, "--n-list", "invalid int value"),
+        ("sweep-zeta", {"snr_db": 0, "points": 2.9}, "--points", "invalid int value"),
+        ("scaling", {"n_list": []}, "--n-list", "expected at least one argument"),
+        ("scaling", {"n_list": ["9", "17", "--fusion"]}, "--n-list", "invalid int value"),
+        ("scaling", {"measure": "bogus"}, "--measure", "invalid choice"),
+        ("rates", {"snr_db": 0, "zeta": 0.1, "grid": 64.0}, "--grid", "invalid int value"),
+    ])
+    def test_bad_value_is_one_error_line(self, capfd, tmp_path, command, config, flag, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), "--grid", "16"])  # a file's value is parsed too
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag}: {reason}")
+        assert captured.err.count("\n") == 1
+
+    def test_typed_flag_error_has_no_usage_block(self, capfd):
+        code = main(["rates", "--zeta", "abc"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: argument --zeta: invalid float value: 'abc'\n"
+
+
 class TestOptimalZetaRange:
     def rows(self, capsys, tmp_path, *argv):
         path = tmp_path / "oz.csv"

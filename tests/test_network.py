@@ -371,6 +371,14 @@ class TestFitLoglog:
             fit_loglog([1.0, 2.0], [1.0, -1.0])
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x,y", [([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, math.nan, 8.0]),
+                                     ([1.0, 2.0, 4.0, math.inf], [1.0, 2.0, 4.0, 8.0])])
+    def test_rejects_nonfinite(self, capfd, x, y):
+        with pytest.raises(ValueError, match="^log-log fit requires finite data$"):
+            fit_loglog(x, y)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
     def test_rejects_repeated_x(self):
         with pytest.raises(ValueError, match="not enough distinct points left to fit"):
             fit_loglog([1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])

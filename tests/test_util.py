@@ -7,8 +7,14 @@ import pytest
 
 from gmrfinfo._util import bisect, check_at_least, check_finite
 from gmrfinfo.corrmap import PhysicalField, rho_from_spacing, rho_from_zeta, zeta_from_rho
-from gmrfinfo.gmrf_mc import dense_covariance
-from gmrfinfo.inforates import kli_rate_general, kli_rate_sfcar, mi_rate_general, stein_kli
+from gmrfinfo.gmrf_mc import dense_covariance, mc_kli_estimate
+from gmrfinfo.inforates import (
+    kli_rate_general,
+    kli_rate_sfcar,
+    mi_rate_general,
+    sfcar_info_rates,
+    stein_kli,
+)
 from gmrfinfo.network import (
     NetworkConfig,
     hop_sum,
@@ -161,3 +167,24 @@ def test_check_at_least_accepts_the_bound_and_any_int():
     check_at_least(2, nu=2)
     check_at_least(1, grid=10**400)  # too large for a float, but still a finite int
     check_finite(n=10**400)
+
+
+# every count checked as an integer, after its finite and bound checks: the call, a
+# non-integer value and the exact message it raises
+INTEGER_SITES = {
+    "omega_grid grid": (omega_grid, 1.5, "grid must be an integer, got 1.5"),
+    "sfcar_info_rates grid": (lambda v: sfcar_info_rates(1.0, 0.1, grid=v), 512.0,
+                              "grid must be an integer, got 512.0"),
+    "mc_kli_estimate trials": (lambda v: mc_kli_estimate(SfcarModel(1.0, 0.1), 1.0, 8, v, 1),
+                               30.5, "trials must be an integer, got 30.5"),
+    "sweep_fixed_pernode_energy sides": (lambda v: sweep_fixed_pernode_energy(_config(), [3, v]),
+                                         5.5, "n must be an integer, got 5.5"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_count_rejects_a_non_integer(site):
+    call, value, message = INTEGER_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == message
