@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .gmrf_mc import mc_kli_estimate
-from .inforates import _sfcar_rates, kli_rate_sfcar, optimal_zeta, sfcar_info_rates
+from .inforates import DEFAULT_GRID, _sfcar_rates, kli_rate_sfcar, optimal_zeta, sfcar_info_rates
 from .network import (
     NetworkConfig,
     optimal_density,
@@ -97,7 +97,8 @@ def _mu_grid(args) -> np.ndarray:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", type=int, default=512, help="quadrature side count (default 512)")
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                        help=f"quadrature side count (default {DEFAULT_GRID})")
     parser.add_argument("--output", type=str, default=None, help="CSV output path")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags win")
@@ -236,6 +237,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         unknown = sorted(set(values) - set(actions))
         if unknown:
             raise ValueError(f"unknown config key(s) for {argv[0]}: {', '.join(unknown)}")
+        values = {key: value for key, value in values.items() if value is not None}  # null: not given
+        if "config" in values:
+            raise ValueError(f"config file {known.config} sets config; config files do not nest")
         if "snr_db" in values and "snr_linear" in values:
             raise ValueError(f"config file {known.config} sets both snr_db and snr_linear; give one")
         for key, value in values.items():

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,21 +60,11 @@ class LowSnrConstants:
     c3_prime: float
 
 
-@lru_cache(maxsize=8)
-def _cos_sum(grid: int) -> np.ndarray:
-    """cos(w1) + cos(w2) on the rate-quadrature grid, cached per grid size."""
-    c = np.cos(omega_grid(grid))
-    out = c[:, None] + c[None, :]
-    out.setflags(write=False)
-    return out
-
-
-def _sfcar_rates(snr: float, zeta: float, grid: int,
-                 kli: bool = True, mi: bool = True) -> tuple[float, float]:
-    """(KLI, MI) of the hidden SFCAR from one grid pass; a rate not asked for is NaN.
+def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
+    """(KLI, MI) of the hidden SFCAR from one grid pass.
 
     Both integrands are functions of a = snr / (q (1 - 2 zeta (cos w1 + cos w2))):
-    MI = mean(h) and KLI = mean(h - a / (2 (1 + a))) with h = log1p(a) / 2.
+    MI = mean(log1p(a)) / 2 and KLI = mean(log1p(a) - a / (1 + a)) / 2.
     zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
     check_at_least(0, snr=snr)
@@ -83,20 +72,23 @@ def _sfcar_rates(snr: float, zeta: float, grid: int,
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
     q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    a = snr / (q * (1.0 - 2.0 * zeta * _cos_sum(grid)))
-    h = 0.5 * np.log1p(a)
-    return (float(np.mean(h - 0.5 * a / (1.0 + a))) if kli else math.nan,
-            float(np.mean(h)) if mi else math.nan)
+    c = np.cos(omega_grid(grid))
+    a = snr / (q * (1.0 - 2.0 * zeta * (c[:, None] + c)))
+    h = np.log1p(a)
+    mi = 0.5 * float(np.mean(h))  # halving is exact, so it can follow the mean
+    a /= 1.0 + a
+    h -= a
+    return 0.5 * float(np.mean(h)), mi
 
 
 def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node KLI rate of the hidden SFCAR model [nats/node]; 0 at zeta = 1/4 and at snr = 0."""
-    return _sfcar_rates(snr, zeta, grid, mi=False)[0]
+    return _sfcar_rates(snr, zeta, grid)[0]
 
 
 def mi_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate of the hidden SFCAR model [nats/node]."""
-    return _sfcar_rates(snr, zeta, grid, kli=False)[1]
+    return _sfcar_rates(snr, zeta, grid)[1]
 
 
 def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoRateResult:

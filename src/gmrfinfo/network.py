@@ -336,10 +336,12 @@ def sweep_infinite_density(
     alpha: float,
     grid: int = DEFAULT_GRID,
 ) -> DensitySweep:
-    """Per-node information versus node density on a fixed L x L area at fixed SNR."""
+    """Per-node information versus node density mu >= 1/L^2 on a fixed L x L area at fixed SNR."""
     check_positive(L=L)
     field = PhysicalField(alpha)
     mus = _sorted_densities(mu_list)
+    if mus[0] * L**2 < 1.0:
+        raise ValueError(f"density {float(mus[0])!r} puts fewer than one node on an area of side L = {L!r}")
     rates = [_per_node_rate(snr, zeta_from_spacing(field, 1.0 / math.sqrt(mu)), measure, grid) for mu in mus]
     products = [mu * r for mu, r in zip(mus, rates)]
     top = [p for mu, p in zip(mus, products) if mu >= mus[-1] / 10.0]

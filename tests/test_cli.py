@@ -262,6 +262,8 @@ class TestErrorPaths:
         (["spacing", "--snr-linear", "nan"], "snr must be finite, got nan"),
         (["sweep-zeta", "--snr-db", "0", "--zeta-max", "0.3", "--points", "3"],
          "zeta must lie in [0, 1/4], got 0.3"),
+        (["density", "--snr-db", "0", "--L", "1", "--points", "3"],
+         "density 0.1 puts fewer than one node on an area of side L = 1.0"),
     ])
     def test_bad_input_is_one_named_error_line(self, capfd, argv, message):
         code = main(argv)
@@ -407,6 +409,37 @@ class TestConfigAsFlags:
         filed = self.outputs(capfd, tmp_path, "filed", command,
                              config={**BASE_CONFIG[command], "grid": 16})
         assert filed == typed
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_sidecar_config_round_trips(self, capfd, tmp_path, command):
+        typed = tmp_path / "typed.csv"
+        assert main([command, *BASE_ARGV[command], "--grid", "16", "--output", str(typed)]) == 0
+        config = json.loads((tmp_path / "typed.csv.meta.json").read_text())["config"]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        again = tmp_path / "again.csv"
+        code = main([command, "--config", str(tmp_path / "cfg.json"), "--output", str(again)])
+        captured = capfd.readouterr()
+        assert code == 0, captured.err
+        assert again.read_bytes() == typed.read_bytes()
+
+    def test_null_value_is_not_given(self, capfd, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"snr_db": 0, "snr_linear": None, "zeta": 0.1, "output": None}))
+        assert main(["rates", "--config", "cfg.json", "--grid", "8"]) == 0
+        filed = capfd.readouterr().out
+        assert main(["rates", "--snr-db", "0", "--zeta", "0.1", "--grid", "8"]) == 0
+        assert filed == capfd.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_nested_config_is_one_error_line(self, capfd, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": 0, "zeta": 0.1, "config": "x.json"}))
+        code = main(["rates", "--config", str(cfg)])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: config file {cfg} sets config; config files do not nest\n"
 
     def test_switch_takes_true_or_false(self, capfd, tmp_path):
         argv = ("scaling", "--n-list", "9", "17", "--grid", "16")

@@ -2,6 +2,7 @@
 small/large SNR laws, ordering, and the optimal edge dependence."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmrfinfo.inforates import (
+    _sfcar_rates,
     kli_rate_general,
     kli_rate_sfcar,
     low_snr_constants,
@@ -19,6 +21,7 @@ from gmrfinfo.inforates import (
     sfcar_info_rates,
     stein_kli,
 )
+from gmrfinfo.specfun import elliptic_k
 from gmrfinfo.spectra import constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr, sfcar_spectrum
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -35,6 +38,17 @@ def c3_grid(zeta: float, grid: int = 2048) -> float:
                 for i in range(0, grid, 256))
     big_k = float(mpmath.ellipk(16 * mpmath.mpf(zeta) ** 2))
     return FOUR_PI2 * total / grid**2 / (64.0 * big_k**2)
+
+
+def reference_sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
+    """(KLI, MI) by the earlier expression, which halved the arrays before the means."""
+    if snr == 0.0 or zeta == 0.25:
+        return 0.0, 0.0
+    q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
+    c = np.cos(omega_grid(grid))
+    a = snr / (q * (1.0 - 2.0 * zeta * (c[:, None] + c[None, :])))
+    h = 0.5 * np.log1p(a)
+    return float(np.mean(h - 0.5 * a / (1.0 + a))), float(np.mean(h))
 
 
 class TestStein:
@@ -112,6 +126,30 @@ class TestSfcarRates:
             res = sfcar_info_rates(snr, zeta, grid)
             assert kli_rate_sfcar(snr, zeta, grid) == res.kli
             assert mi_rate_sfcar(snr, zeta, grid) == res.mi
+
+
+class TestSinglePass:
+    ZETAS = (0.0, 0.1, 0.24, 0.25 - 1e-6, 0.25 - 4.5e-13, 0.25)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 16, 512, 1024])
+    def test_bitwise_equal_to_reference(self, grid):
+        rng = np.random.default_rng(grid)
+        snrs = [0.0, 1e-6, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 5))]
+        for snr in snrs:
+            for zeta in self.ZETAS:
+                assert _sfcar_rates(snr, zeta, grid) == reference_sfcar_rates(snr, zeta, grid), (snr, zeta)
+
+    def test_keeps_no_memory(self):
+        _sfcar_rates(10.0, 0.2, 8)  # numpy's first-call set-up stays outside the traced call
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _sfcar_rates(10.0, 0.2, 1024)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2**16  # the 8 MiB grid arrays are all freed
+        assert peak - before < 25 * 2**20  # three grid arrays at most
 
 
 class TestGeneralRates:

@@ -247,6 +247,14 @@ class TestInfiniteDensity:
         with pytest.raises(ValueError, match="densities must not be empty"):
             sweep_infinite_density(4.0, [], "kli", 1.0, 1.0)
 
+    def test_fewer_than_one_node_rejected(self):
+        # side 2: density 1/4 puts exactly one node on the area, the next float below it none
+        assert sweep_infinite_density(2.0, [1.0, 0.25], "kli", 1.0, 1.0, grid=16).mu_list[0] == 0.25
+        below = math.nextafter(0.25, 0.0)
+        with pytest.raises(ValueError, match=f"^density {below!r} puts fewer than one node "
+                                             r"on an area of side L = 2\.0$"):
+            sweep_infinite_density(2.0, [1.0, below], "kli", 1.0, 1.0, grid=16)
+
     def test_mi_products_also_drift_up(self):
         sweep = sweep_infinite_density(4.0, list(np.logspace(-1, 1, 10)), "mi", 1.0, 1.0)
         assert all(b > a for a, b in zip(sweep.per_area_info, sweep.per_area_info[1:]))

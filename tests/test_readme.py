@@ -1,0 +1,38 @@
+"""The README's CLI commands and library example run as written."""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from gmrfinfo.cli import build_parser, main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+CODE_BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, flags=re.M | re.S)
+COMMANDS = [shlex.split(line)[1:] for lang, body in CODE_BLOCKS if lang == "sh"
+            for line in body.splitlines() if line.startswith("gmrfinfo ")]
+
+
+def test_every_command_has_an_example():
+    assert sorted(argv[0] for argv in COMMANDS) == sorted(build_parser()[1])
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+def test_cli_example_runs(capfd, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    code = main([*argv, "--grid", "16", "--output", str(path)])  # the last --output wins
+    captured = capfd.readouterr()
+    assert code == 0, captured.err
+    assert len(path.read_text().splitlines()) >= 2
+    assert (tmp_path / "out.csv.meta.json").is_file()
+
+
+def test_library_example_runs():
+    (example,) = [body for lang, body in CODE_BLOCKS if lang == "python"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    assert len(out.getvalue().splitlines()) == 3
