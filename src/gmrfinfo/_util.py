@@ -59,9 +59,8 @@ def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarr
     """Refine the best grid point of ``fs = f(xs)`` (xs ascending) by golden-section search.
 
     The bracket spans the neighbors of the first grid maximum and shrinks
-    while ``hi - lo > abs_tol + rel_tol * hi``.  Its midpoint snaps to an end
-    of the grid within ``abs_tol`` of it.  Returns ``(x, f(x))`` for that
-    point, or the best grid point and its value where that value is higher.
+    while ``hi - lo > abs_tol + rel_tol * hi``.  Returns ``(x, f(x))`` for its
+    midpoint, or the best grid point and its value where that value is higher.
     """
     best = int(np.argmax(fs))
     lo = xs[max(best - 1, 0)]
@@ -79,10 +78,6 @@ def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarr
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = f(x2)
     x = 0.5 * (lo + hi)
-    if x <= xs[0] + abs_tol:
-        x = xs[0]
-    elif x >= xs[-1] - abs_tol:
-        x = xs[-1]
     fx = f(x)
     if fx >= fs[best]:
         return float(x), float(fx)

@@ -68,8 +68,10 @@ def _write_metadata(path: str, command: str, config: dict, extras: dict) -> None
         "version": __version__,
         **extras,
     }
+    # strict JSON: a round trip turns every NaN or infinity, at any depth, into null
+    meta = json.loads(json.dumps(meta, default=str), parse_constant=lambda _: None)
     with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -91,8 +91,8 @@ def circulant_eigs(spec: SpectralDensity, n: int) -> CirculantSpectrum:
     check_integer(4, n=n)
     d = spec.dim
     w = TWO_PI * np.arange(n) / n
-    axes = np.meshgrid(*[w] * d, indexing="ij")
-    eigs = TWO_PI**d * np.asarray(spec.evaluator(*axes), dtype=float)
+    axes = np.meshgrid(*[w] * d, indexing="ij", sparse=True)
+    eigs = TWO_PI**d * np.broadcast_to(np.asarray(spec.evaluator(*axes), dtype=float), (n,) * d)
     if not np.all(np.isfinite(eigs)):
         raise SingularSpectrumError("spectrum is not finite at the DFT frequencies")
     if eigs.min() <= 0.0:
@@ -159,8 +159,6 @@ def _noise_trials(model: SfcarModel, sigma2: float, n: int, trials: int, seed: i
     N(0, sigma2) n x n fields, stacked along a leading axis.  Each field comes from its own
     substream, so it depends only on (seed, trial index).  The chunks share one buffer of
     about _CHUNK_BYTES, so each chunk must be used up before the next is drawn."""
-    if trials < 30:
-        raise ValueError(f"need at least 30 trials for a standard error, got {trials}")
     check_integer(30, trials=trials)
     cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
     seeds = np.random.SeedSequence(seed).spawn(trials)

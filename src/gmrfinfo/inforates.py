@@ -33,7 +33,7 @@ __all__ = [
 DEFAULT_GRID = 512
 
 # optimal_zeta: points of the coarse zeta scan, and the golden-section bracket
-# width at which the refinement stops (also its snap distance to 0 and 1/4)
+# width at which the refinement stops
 _ZETA_SCAN_POINTS = 101
 _ZETA_TOL = 1e-6
 
@@ -153,9 +153,9 @@ def optimal_zeta(snr: float, grid: int = DEFAULT_GRID) -> tuple[float, float]:
 
     Coarse scan of 101 points over [0, 1/4] (ties resolved toward smaller
     zeta) followed by golden-section refinement between the neighbors of the
-    best coarse point.  Returns (zeta_star, kli_star); a refined point within
-    1e-6 of an interval endpoint snaps to it exactly, and the best coarse
-    point is returned instead where its KLI is higher.
+    best coarse point.  Returns (zeta_star, kli_star); the best coarse point
+    is returned instead where its KLI is higher, so an optimum at zeta = 0 is
+    exact.
     """
     check_positive(snr=snr)
 

@@ -110,9 +110,9 @@ class SpectralDensity:
         return self.evaluator(*omegas)
 
     def grid_values(self, n: int) -> np.ndarray:
-        """Sample f on the uniform n^d grid omega_i = -pi + 2*pi*i/n."""
-        axes = np.meshgrid(*[omega_grid(n)] * self.dim, indexing="ij")
-        return np.asarray(self.evaluator(*axes), dtype=float)
+        """Sample f, called on open axes, on the uniform n^d grid omega_i = -pi + 2*pi*i/n (read-only)."""
+        axes = np.meshgrid(*[omega_grid(n)] * self.dim, indexing="ij", sparse=True)
+        return np.broadcast_to(np.asarray(self.evaluator(*axes), dtype=float), (n,) * self.dim)
 
 
 def check_zeta(zeta: float) -> None:
@@ -141,7 +141,7 @@ def car_spectrum(model: CarModel) -> SpectralDensity:
         return sum(v * np.cos(i * np.asarray(w1) + j * np.asarray(w2)) for i, j, v in offsets)
 
     w = omega_grid(_CAR_CHECK_GRID)
-    denom = cosine_sum(*np.meshgrid(w, w, indexing="ij"))
+    denom = cosine_sum(*np.meshgrid(w, w, indexing="ij", sparse=True))
     if denom.min() <= 0.0:
         raise InvalidModelError(
             "CAR denominator is not positive on the validation grid "

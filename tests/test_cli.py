@@ -133,6 +133,20 @@ class TestMetadata:
         assert meta["local_maxima"]
         assert meta["mu_star"] > 0
 
+    @pytest.mark.parametrize("argv,nulls", [
+        (["spacing", "--snr-db", "0", "--dn-min", "700", "--dn-max", "800", "--points", "3",
+          "--grid", "16"], ["gap_fit_slope", "alpha_estimate"]),
+        (["density", "--snr-linear", "0", "--grid", "16"], ["plateau_variation"]),
+    ])
+    def test_nonfinite_extras_are_null(self, capsys, tmp_path, argv, nulls):
+        def reject(token):
+            raise ValueError(f"sidecar holds {token}")
+
+        path = tmp_path / "out.csv"
+        assert run(capsys, *argv, "--output", str(path))[0] == 0
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text(), parse_constant=reject)
+        assert all(meta[key] is None for key in nulls)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):

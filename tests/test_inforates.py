@@ -210,6 +210,17 @@ class TestGeneralRates:
         with pytest.raises(ValueError):
             kli_rate_general(constant_spectrum(1.0, dim=4), 1.0, 64)
 
+    def test_grid_memory(self):
+        # the spectrum is sampled on open axes: no 8 MiB coordinate meshes at grid 1024
+        f1 = hidden_spectrum(sfcar_spectrum(sfcar_for_snr(2.0, 0.2)), 1.0)
+        tracemalloc.start()
+        try:
+            kli_rate_general(f1, 1.0, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * 2**20
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             kli_rate_general(constant_spectrum(0.0), 1.0, 64)
@@ -339,12 +350,34 @@ class TestOptimalZeta:
         assert optimal_zeta(0.7) == optimal_zeta(0.7)
 
     def test_never_below_coarse_maximum(self):
-        # at -29.5 dB the golden-section midpoint snaps to 1/4, where KLI is 0
+        # at -29.5 dB the optimum lies within 1e-6 of 1/4, where KLI is 0
         snr = 10 ** (-2.95)
         z, v = optimal_zeta(snr)
         coarse = max(kli_rate_sfcar(snr, float(x)) for x in np.linspace(0.0, 0.25, 101))
         assert v >= coarse > 0.0
         assert v == kli_rate_sfcar(snr, z)
+
+    @pytest.mark.parametrize("db", [0.0, 10.0, 30.0, 60.0])
+    def test_iid_optimum_is_exact(self, db):
+        snr = 10 ** (db / 10)
+        assert optimal_zeta(snr) == (0.0, kli_rate_sfcar(snr, 0.0))
+
+    @pytest.mark.parametrize("db,printed", [(-0.1, "0.0637"), (-0.5, "0.1341"),
+                                            (-1.0, "0.1758"), (-5.0, "0.2441")])
+    def test_transition_optimum(self, db, printed):
+        z, _ = optimal_zeta(10 ** (db / 10))
+        assert f"{z:.4f}" == printed
+
+    # KLI* that a search snapping to zeta = 1/4 reported (its coarse point 0.2475)
+    @pytest.mark.parametrize("db,snapped_kli", [(-29.0, 2.749e-6), (-29.5, 2.193e-6),
+                                                (-30.0, 1.748e-6)])
+    def test_optimum_next_to_quarter_is_interior(self, db, snapped_kli):
+        snr = 10 ** (db / 10)
+        z, v = optimal_zeta(snr)
+        coarse = max(kli_rate_sfcar(snr, float(x)) for x in np.linspace(0.0, 0.25, 101))
+        assert 0.2499 < z < 0.25
+        assert v >= coarse
+        assert v >= 10 * snapped_kli
 
     def test_refined_beats_coarse_neighbors(self):
         snr = 10 ** (-0.05)

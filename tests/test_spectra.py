@@ -12,6 +12,7 @@ from gmrfinfo.spectra import (
     SfcarModel,
     SingularModelError,
     SingularSpectrumError,
+    SpectralDensity,
     autocovariance,
     car_spectrum,
     constant_spectrum,
@@ -118,6 +119,25 @@ class TestSignalPower:
         ps = [signal_power(SfcarModel(kappa=1.0, zeta=float(z))) for z in zs]
         assert all(b > a for a, b in zip(ps, ps[1:]))
         assert ps[-1] / ps[0] > 3.0
+
+
+SAMPLED_SPECTRA = {
+    "sfcar": sfcar_spectrum(SfcarModel(kappa=1.3, zeta=0.2)),
+    "sfcar at 1/4": sfcar_spectrum(SfcarModel(kappa=1.0, zeta=0.25)),
+    "car": car_spectrum(CarModel({(0, 0): 1.0, (1, 0): -0.2, (-1, 0): -0.2, (1, 1): 0.1,
+                                  (-1, -1): 0.1})),
+    "constant": constant_spectrum(0.7),
+    "hidden": hidden_spectrum(sfcar_spectrum(sfcar_for_snr(3.0, 0.24)), 0.5),
+    "one axis": SpectralDensity(lambda w1, w2: 2.0 + np.cos(w1), dim=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SPECTRA))
+def test_grid_values_equal_mesh_sampling(name):
+    spec = SAMPLED_SPECTRA[name]
+    w1, w2 = np.meshgrid(omega_grid(64), omega_grid(64), indexing="ij")
+    mesh = np.broadcast_to(spec.evaluator(w1, w2), (64, 64))
+    assert np.array_equal(spec.grid_values(64), mesh)  # bitwise, inf sentinel included
 
 
 class TestAutocovariance:

@@ -3,9 +3,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from gmrfinfo._util import bisect, check_at_least, check_finite
+from gmrfinfo._util import bisect, check_at_least, check_finite, golden_section_max
 from gmrfinfo.corrmap import PhysicalField, rho_from_spacing, rho_from_zeta, zeta_from_rho
 from gmrfinfo.gmrf_mc import dense_covariance, mc_kli_estimate
 from gmrfinfo.inforates import (
@@ -102,6 +103,33 @@ class TestBisect:
             assert side == old
 
 
+class TestGoldenSectionMax:
+    xs = np.linspace(0.0, 1.0, 11)
+
+    def search(self, f, **tol):
+        return golden_section_max(f, self.xs, np.array([f(x) for x in self.xs]), **tol)
+
+    @pytest.mark.parametrize("slope", [-1.0, 1.0])
+    def test_maximum_at_grid_end_is_that_end(self, slope):
+        end = 0.0 if slope < 0 else 1.0
+        assert self.search(lambda x: slope * x, abs_tol=1e-6) == (end, slope * end)
+
+    @pytest.mark.parametrize("tol,width", [({"abs_tol": 1e-6}, 1e-6), ({"rel_tol": 1e-6}, 0.37e-6)])
+    def test_interior_maximum_within_tolerance(self, tol, width):
+        x, v = self.search(lambda x: -(x - 0.37) ** 2, **tol)
+        assert abs(x - 0.37) <= width
+        assert v == -(x - 0.37) ** 2
+
+    def test_refined_value_below_grid_point_returns_grid_point(self):
+        assert self.search(lambda x: 1.0 if x == 0.5 else -abs(x - 0.5), abs_tol=1e-6) == (0.5, 1.0)
+
+    def test_rise_toward_end_stays_interior(self):
+        # the maximum is approached, not reached: the end itself scores 0
+        x, v = self.search(lambda x: x if x < 1.0 else 0.0, abs_tol=1e-6)
+        assert 1.0 - 1e-6 < x < 1.0
+        assert v == x
+
+
 def _at_least(name, minimum, below):
     """The (value, class, message) cases of a check_at_least site."""
     return [(math.nan, ValueError, f"{name} must be finite, got nan"),
@@ -133,6 +161,8 @@ INPUT_SITES = {
     "rho_from_spacing spacing": (lambda v: rho_from_spacing(PhysicalField(1.0), v),
                                  _at_least("spacing", 0, -1.0)),
     "omega_grid grid": (omega_grid, _at_least("grid", 1, 0)),
+    "mc_kli_estimate trials": (lambda v: mc_kli_estimate(SfcarModel(1.0, 0.1), 1.0, 8, v, 1),
+                               [(29, ValueError, "trials must be >= 30, got 29")]),
     "SfcarModel zeta": (lambda v: SfcarModel(1.0, v), _zeta_domain()),
     "kli_rate_sfcar zeta": (lambda v: kli_rate_sfcar(1.0, v, 16), _zeta_domain()),
     "rho_from_zeta zeta": (rho_from_zeta, _zeta_domain()),
