@@ -414,8 +414,8 @@ def main(argv: list[str] | None = None) -> int:
             _write_metadata(args.output, args.command, config, extras)
             print(f"wrote {args.output} ({len(rows)} rows) and {args.output}.meta.json")
         return 0
-    except (ValueError, OSError) as exc:  # the package's errors subclass ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # the package's errors subclass ValueError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError is blank
         return 2
 
 

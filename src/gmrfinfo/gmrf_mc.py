@@ -17,9 +17,11 @@ import numpy as np
 
 from ._util import check_at_least, check_integer, check_positive
 from .spectra import (
+    TWO_PI,
     SfcarModel,
     SpectralDensity,
     SingularSpectrumError,
+    _sample_grid,
     hidden_spectrum,
     omega_grid,
     sfcar_spectrum,
@@ -40,8 +42,6 @@ __all__ = [
     "dense_covariance",
     "dense_circulant",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 _DENSE_LOGDET_MAX = 48   # the four reflection blocks hold n^4 / 4 entries
 _BLOCK_CHECK_MAX = 32    # per-block solves (quadform_limit_check) and eigvalsh (toeplitz_circulant_gap)
@@ -90,9 +90,7 @@ def circulant_eigs(spec: SpectralDensity, n: int) -> CirculantSpectrum:
     n-per-side lattice (the exact stationary torus model)."""
     check_integer(4, n=n)
     d = spec.dim
-    w = TWO_PI * np.arange(n) / n
-    axes = np.meshgrid(*[w] * d, indexing="ij", sparse=True)
-    eigs = TWO_PI**d * np.broadcast_to(np.asarray(spec.evaluator(*axes), dtype=float), (n,) * d)
+    eigs = TWO_PI**d * _sample_grid(spec.evaluator, d, TWO_PI * np.arange(n) / n)
     if not np.all(np.isfinite(eigs)):
         raise SingularSpectrumError("spectrum is not finite at the DFT frequencies")
     if eigs.min() <= 0.0:

@@ -73,6 +73,10 @@ class NetworkConfig:
         check_at_least(0, es=self.es)
         check_at_least(2, nu=self.nu)
         PhysicalField(self.alpha)  # validates alpha
+        try:
+            self.dn**self.nu
+        except OverflowError:
+            raise ValueError(f"dn ** nu overflows a float (dn={self.dn!r}, nu={self.nu!r})") from None
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,7 @@ def sweep_infinite_density(
     check_positive(L=L)
     field = PhysicalField(alpha)
     mus = _sorted_densities(mu_list)
-    if mus[0] * L**2 < 1.0:
+    if float(mus[0]) * L * L < 1.0:  # L * L overflows to inf where L**2 would raise
         raise ValueError(f"density {float(mus[0])!r} puts fewer than one node on an area of side L = {L!r}")
     rates = [_per_node_rate(snr, zeta_from_spacing(field, 1.0 / math.sqrt(mu)), measure, grid) for mu in mus]
     products = [mu * r for mu, r in zip(mus, rates)]
@@ -429,8 +433,14 @@ def optimal_density(
         if n < 1.0:
             return -math.inf  # below a single node the hop model is meaningless
         dn = L / n
-        es = (et - hop_sum_closed(n) * e0 * dn**nu) / n**2
-        if es <= 0.0:
+        try:
+            comm = hop_sum_closed(n) * e0 * dn**nu
+        except OverflowError:  # dn**nu: the communication energy is not finite
+            return -math.inf
+        if not math.isfinite(comm):  # checked first: n**2 overflows only where comm does
+            return -math.inf
+        es = (et - comm) / n**2
+        if not es > 0.0:
             return -math.inf
         snr = beta * es
         zeta = zeta_from_spacing(field, dn)

@@ -39,8 +39,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# side of the grid on which car_spectrum checks the CAR denominator is positive
-_CAR_CHECK_GRID = 128
+# sides of the grids on which car_spectrum certifies the CAR denominator positive
+_CAR_GRID_MIN = 128
+_CAR_GRID_MAX = 2048
 
 
 class InvalidModelError(ValueError):
@@ -110,9 +111,15 @@ class SpectralDensity:
         return self.evaluator(*omegas)
 
     def grid_values(self, n: int) -> np.ndarray:
-        """Sample f, called on open axes, on the uniform n^d grid omega_i = -pi + 2*pi*i/n (read-only)."""
-        axes = np.meshgrid(*[omega_grid(n)] * self.dim, indexing="ij", sparse=True)
-        return np.broadcast_to(np.asarray(self.evaluator(*axes), dtype=float), (n,) * self.dim)
+        """Sample f on the uniform n^d grid omega_i = -pi + 2*pi*i/n (read-only, see _sample_grid)."""
+        return _sample_grid(self.evaluator, self.dim, omega_grid(n))
+
+
+def _sample_grid(evaluator: Callable[..., np.ndarray], dim: int, nodes: np.ndarray) -> np.ndarray:
+    """``evaluator`` called on open (sparse) axes of the grid nodes^dim, so no coordinate mesh is
+    built, and broadcast to a read-only float array of shape (len(nodes),) * dim."""
+    axes = np.meshgrid(*[nodes] * dim, indexing="ij", sparse=True)
+    return np.broadcast_to(np.asarray(evaluator(*axes), dtype=float), (len(nodes),) * dim)
 
 
 def check_zeta(zeta: float) -> None:
@@ -131,23 +138,45 @@ def omega_grid(n: int) -> np.ndarray:
 def car_spectrum(model: CarModel) -> SpectralDensity:
     """Spectral density f = (2*pi)^{-2} / sum_ij theta_ij exp(-i(i*w1 + j*w2)).
 
-    The symmetric support makes the denominator a real cosine sum.  Raises
-    InvalidModelError if the denominator is not strictly positive on the
-    128 x 128 validation grid (the stationarity condition fails).
+    The symmetric support makes the denominator p a real cosine sum, and p is
+    certified positive everywhere.  On an N x N grid every frequency lies within
+    h = pi/N of a node x on each axis, so by Taylor's theorem p is positive if
+    p(x) - h (|d1 p(x)| + |d2 p(x)|) - h^2 sum_ij |theta_ij| (|i| + |j|)^2 / 2 > 0
+    at every node.  N starts at the smallest power of two >= 128 and >= 4 times
+    the longest offset and doubles until that holds.  Raises InvalidModelError
+    if p <= 0 at a node (the stationarity condition fails), or if no grid up to
+    2048 x 2048 certifies p.
     """
     offsets = [(i, j, v) for (i, j), v in model.theta.items()]
 
     def cosine_sum(w1, w2):
         return sum(v * np.cos(i * np.asarray(w1) + j * np.asarray(w2)) for i, j, v in offsets)
 
-    w = omega_grid(_CAR_CHECK_GRID)
-    denom = cosine_sum(*np.meshgrid(w, w, indexing="ij", sparse=True))
-    if denom.min() <= 0.0:
-        raise InvalidModelError(
-            "CAR denominator is not positive on the validation grid "
-            f"(min {denom.min():.3g}); spectrum would not be a valid density"
-        )
-    return SpectralDensity(lambda w1, w2: 1.0 / (4.0 * math.pi**2 * cosine_sum(w1, w2)), dim=2, form="car")
+    def partial(axis):  # the evaluator of d p / d w_axis
+        return lambda w1, w2: sum(-(i, j)[axis] * v * np.sin(i * w1 + j * w2) for i, j, v in offsets)
+
+    curvature = 0.5 * sum(abs(v) * (abs(i) + abs(j)) ** 2 for i, j, v in offsets)
+    n = _CAR_GRID_MIN
+    while n < 4 * max(max(abs(i), abs(j)) for i, j, _ in offsets):
+        n *= 2
+    while n <= _CAR_GRID_MAX:
+        nodes, h = omega_grid(n), math.pi / n
+        denom = _sample_grid(cosine_sum, 2, nodes)
+        if denom.min() <= 0.0:
+            raise InvalidModelError(
+                f"CAR denominator is not positive on the {n} x {n} grid "
+                f"(min {denom.min():.3g}); spectrum would not be a valid density"
+            )
+        bound = denom - h * h * curvature
+        for axis in (0, 1):
+            bound -= h * np.abs(_sample_grid(partial(axis), 2, nodes))
+        if bound.min() > 0.0:
+            return SpectralDensity(lambda w1, w2: 1.0 / (4.0 * math.pi**2 * cosine_sum(w1, w2)),
+                                   dim=2, form="car")
+        n *= 2
+    raise InvalidModelError(
+        f"cannot certify the CAR denominator positive on grids up to {_CAR_GRID_MAX} x {_CAR_GRID_MAX}"
+    )
 
 
 def sfcar_spectrum(model: SfcarModel) -> SpectralDensity:
@@ -160,8 +189,7 @@ def sfcar_spectrum(model: SfcarModel) -> SpectralDensity:
 
     def evaluator(w1, w2):
         denom = 4.0 * math.pi**2 * kappa * (1.0 - 2.0 * zeta * (np.cos(w1) + np.cos(w2)))
-        with np.errstate(divide="ignore"):
-            return np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), np.inf)
+        return np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), np.inf)
 
     return SpectralDensity(evaluator, dim=2, form="sfcar")
 
@@ -230,15 +258,8 @@ def autocovariance_grid(spec: SpectralDensity, grid: int) -> np.ndarray:
     vals = spec.grid_values(grid)
     if not np.all(np.isfinite(vals)):
         raise SingularSpectrumError("spectrum is not finite on the quadrature grid")
-    tab = TWO_PI**spec.dim * np.fft.ifftn(vals).real
-    # The grid starts at -pi, not 0, which contributes a (-1)^{h1+...+hd} phase.
-    sign = np.ones(grid)
-    sign[1::2] = -1.0
-    for axis in range(spec.dim):
-        shape = [1] * spec.dim
-        shape[axis] = grid
-        tab = tab * sign.reshape(shape)
-    return tab
+    # The grid starts at -pi; for an even grid that is the DFT grid (from 0) rotated by half a period.
+    return TWO_PI**spec.dim * np.fft.ifftn(np.fft.ifftshift(vals)).real
 
 
 def autocovariance(spec: SpectralDensity, h: tuple[int, ...], grid: int = 512) -> float:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gmrfinfo import cli
 from gmrfinfo.cli import DEFAULT_SEED, build_parser, emit_plotdata, main
 
 
@@ -165,6 +166,15 @@ class TestConfigFile:
         code, _, err = run(capsys, "rates", "--config", str(cfg), "--zeta", "0.1")
         assert code == 2
         assert "error:" in err
+
+    def test_config_that_is_not_an_object_is_one_error_line(self, capfd, tmp_path):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        code = main(["rates", "--config", str(cfg), "--zeta", "0.1"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: config file {cfg} must hold a JSON object\n"
 
     def test_trailing_config_without_path(self, capsys):
         code, err = run_exit(capsys, "rates", "--zeta", "0.1", "--config")
@@ -366,6 +376,45 @@ class TestErrorPaths:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: not enough distinct points left to fit\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["scaling", "--dn", "1e200"], "dn ** nu overflows a float (dn=1e+200, nu=2.0)"),
+        (["scaling", "--nu", "1e5", "--dn", "2"], "dn ** nu overflows a float (dn=2.0, nu=100000.0)"),
+        (["energy", "--dn", "1e200"], "dn ** nu overflows a float (dn=1e+200, nu=2.0)"),
+        (["optimal-density", "--L", "1e200", "--Et", "100", "--alpha", "100", "--beta", "1",
+          "--E0", "0.1", "--nu", "2", "--points", "3"], "no density satisfies the energy constraint"),
+    ])
+    def test_overflowing_energy_is_one_error_line(self, capfd, argv, message):
+        code = main([*argv, "--grid", "8"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_huge_density_side_runs(self, capfd, tmp_path):
+        # --L only bounds the one-node check, so --L 1e200 writes the --L 4 rows
+        paths = [tmp_path / f"{side}.csv" for side in ("4", "1e200")]
+        for path in paths:
+            assert main(["density", "--snr-db", "0", "--L", path.stem, "--grid", "8", "--points", "3",
+                         "--output", str(path)]) == 0
+        assert capfd.readouterr().err == ""
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 74.5 TiB for an array with shape (10000000000000,)"),
+         "Unable to allocate 74.5 TiB for an array with shape (10000000000000,)"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_allocation_failure_is_one_error_line(self, capfd, monkeypatch, exc, message):
+        def runner(args):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "sweep-zeta", runner)  # nothing is allocated
+        code = main(["sweep-zeta", "--snr-db", "0", "--points", "10000000000000"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_infeasible_energy_exit_code(self, capsys):
         code, _, err = run(capsys, "energy", "--et-list", "0.001")

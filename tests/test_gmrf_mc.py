@@ -29,6 +29,7 @@ from gmrfinfo.inforates import _sfcar_rates, kli_rate_sfcar, stein_kli
 from gmrfinfo.spectra import (
     SfcarModel,
     SingularSpectrumError,
+    SpectralDensity,
     autocovariance_grid,
     constant_spectrum,
     hidden_spectrum,
@@ -76,6 +77,11 @@ class TestCirculantEigs:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             circulant_eigs(constant_spectrum(1.0), 2)
+
+    def test_negative_spectrum_rejected(self):
+        spec = SpectralDensity(lambda w1, w2: np.cos(w1) + 0.0 * w2, dim=2)
+        with pytest.raises(NonpositiveEigenvalueError, match="nonpositive torus eigenvalue"):
+            circulant_eigs(spec, 8)
 
 
 class TestSampleField:
@@ -247,6 +253,13 @@ class TestDenseChecks:
         # flat hidden spectrum: y' Sigma1^{-1} y / n^2 = |y|^2 / (2 n^2) exactly
         assert check.target == pytest.approx(0.5, rel=1e-12)
         assert check.dense.mean == pytest.approx(check.circulant.mean, rel=1e-12)
+
+    def test_block_check_size_cap(self):
+        model = sfcar_for_snr(1.0, 0.1)
+        with pytest.raises(ValueError, match="dense quadratic form limited to n <= 32, got 33"):
+            quadform_limit_check(model, 1.0, 33, 10, seed=0)
+        with pytest.raises(ValueError, match="dense eigendecomposition limited to n <= 32, got 33"):
+            toeplitz_circulant_gap(model, 1.0, [33])
 
     def test_toeplitz_circulant_gap_white(self):
         gaps = toeplitz_circulant_gap(SfcarModel(kappa=1.0, zeta=0.0), 1.0, [8, 16])

@@ -128,6 +128,27 @@ class TestSfcarRates:
             assert mi_rate_sfcar(snr, zeta, grid) == res.mi
 
 
+class TestWeakCorrelation:
+    """rate(snr, zeta) - rate(snr, 0) = c2 zeta^2 + c4 zeta^4 + O(zeta^6), from the expansion of
+    the integrands in zeta (odd powers integrate to zero), with s = snr."""
+
+    @staticmethod
+    def coefficients(s):
+        kli = (s * s * (1 - s) / (1 + s) ** 3,
+               -s * s * (19 * s**3 + 23 * s * s + 10 * s - 30) / (2 * (1 + s) ** 5))
+        mi = (-s * s / (1 + s) ** 2, -s * s * (19 * s * s + 40 * s + 30) / (2 * (1 + s) ** 4))
+        return kli, mi
+
+    @pytest.mark.parametrize("snr", [0.5, 1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("zeta", [3e-3, 1e-2, 3e-2])  # at 1e-3 rounding outweighs zeta^6
+    def test_matches_fourth_order_expansion(self, snr, zeta):
+        base = _sfcar_rates(snr, 0.0, 512)
+        for rate, rate0, (c2, c4) in zip(_sfcar_rates(snr, zeta, 512), base, self.coefficients(snr)):
+            # the residual is a stable multiple of zeta^6, at most about 90 zeta^6; at snr 1 the
+            # KLI c2 is 0, so this pins the fourth-order onset there
+            assert abs(rate - rate0 - (c2 * zeta**2 + c4 * zeta**4)) <= 100.0 * zeta**6
+
+
 class TestSinglePass:
     ZETAS = (0.0, 0.1, 0.24, 0.25 - 1e-6, 0.25 - 4.5e-13, 0.25)
 

@@ -93,7 +93,21 @@ class TestEnergy:
             replace(BASE, **{field: value})
 
 
+    @pytest.mark.parametrize("dn,nu", [(1e200, 2.0), (2.0, 1e5)])
+    def test_config_rejects_overflowing_dn_power(self, dn, nu):
+        with pytest.raises(ValueError, match=r"dn \*\* nu overflows a float") as info:
+            replace(BASE, dn=dn, nu=nu)
+        assert repr(dn) in str(info.value) and repr(nu) in str(info.value)
+
+    def test_tiny_dn_power_underflows_to_zero_cost(self):
+        assert total_energy(replace(BASE, dn=0.5, nu=1e5, es=0.0)) == 0.0
+
+
 class TestReport:
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(ValueError, match="measure must be 'kli' or 'mi', got 'bogus'"):
+            network_report(BASE, "bogus")
+
     def test_wide_spacing_mi_closed_form(self):
         cfg = NetworkConfig(n=8, dn=50.0, es=1.0, e0=1.0, nu=2.0, alpha=1.0, beta=1.0)
         rep = network_report(cfg, "mi")
@@ -255,6 +269,11 @@ class TestInfiniteDensity:
                                              r"on an area of side L = 2\.0$"):
             sweep_infinite_density(2.0, [1.0, below], "kli", 1.0, 1.0, grid=16)
 
+    def test_huge_side_only_bounds_the_node_check(self):
+        # mu * L * L overflows to inf, which is not below one node; L enters nothing else
+        huge = sweep_infinite_density(1e200, [0.1, 1.0, 10.0], "kli", 1.0, 1.0, grid=8)
+        assert huge == sweep_infinite_density(4.0, [0.1, 1.0, 10.0], "kli", 1.0, 1.0, grid=8)
+
     def test_mi_products_also_drift_up(self):
         sweep = sweep_infinite_density(4.0, list(np.logspace(-1, 1, 10)), "mi", 1.0, 1.0)
         assert all(b > a for a, b in zip(sweep.per_area_info, sweep.per_area_info[1:]))
@@ -329,6 +348,16 @@ class TestOptimalDensity:
         with pytest.raises(InfeasibleEnergyError):
             optimal_density(L=2.0, et=1e-6, alpha=100.0, beta=1.0, e0=0.1, nu=2.0,
                             mu_grid=np.logspace(2, 4, 20))
+
+    def test_overflowing_energy_is_infeasible(self):
+        # n = L sqrt(mu) = 1e200: the hop count overflows, and so would n**2
+        with pytest.raises(InfeasibleEnergyError):
+            optimal_density(**dict(self.ARGS, L=1e200), mu_grid=[1.0, 10.0, 100.0])
+
+    def test_overflowing_dn_power_is_infeasible(self):
+        # dn = 1/sqrt(mu) is 10 at mu = 0.01, and 10**1e5 overflows; at dn < 1 it underflows to 0
+        res = optimal_density(**dict(self.ARGS, L=1e3, nu=1e5), mu_grid=[0.01, 100.0, 1e4])
+        assert res.mu_list == (100.0, 1e4)
 
     @pytest.mark.parametrize("name,value,message", [
         ("L", math.nan, "L must be finite"),

@@ -2,8 +2,11 @@
 
 import contextlib
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,22 @@ def test_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(example, "README.md", "exec"), {})
     assert len(out.getvalue().splitlines()) == 3
+
+
+def test_runtime_needs_only_numpy():
+    # pyproject.toml declares numpy as the one runtime dependency; scipy, mpmath and hypothesis
+    # are test-only, so the tests' oracles stay independent of the library
+    (example,) = [body for lang, body in CODE_BLOCKS if lang == "python"]
+    script = "\n".join([
+        "import importlib, pkgutil, sys",
+        "import gmrfinfo",
+        "for info in pkgutil.iter_modules(gmrfinfo.__path__):",
+        "    importlib.import_module('gmrfinfo.' + info.name)",
+        example,
+        "print(sorted({'scipy', 'mpmath', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert len(out.splitlines()) == 4  # the example's three lines, then no test-only module
+    assert out.splitlines()[-1] == "[]"

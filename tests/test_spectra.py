@@ -1,19 +1,25 @@
 """Spectral densities, autocovariances, power, and SNR of the lattice models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from gmrfinfo import spectra
+from gmrfinfo.gmrf_mc import circulant_eigs
 from gmrfinfo.specfun import elliptic_k
 from gmrfinfo.spectra import (
+    TWO_PI,
     CarModel,
     InvalidModelError,
     SfcarModel,
     SingularModelError,
     SingularSpectrumError,
     SpectralDensity,
+    _sample_grid,
     autocovariance,
+    autocovariance_grid,
     car_spectrum,
     constant_spectrum,
     hidden_spectrum,
@@ -45,6 +51,59 @@ class TestModels:
         with pytest.raises(InvalidModelError):
             car_spectrum(CarModel({(0, 0): 1.0, (1, 0): -0.3, (-1, 0): -0.3,
                                    (0, 1): -0.3, (0, -1): -0.3}))  # not positive
+
+
+def sfcar_as_car(zeta):
+    return CarModel({(0, 0): 1.0, (1, 0): -zeta, (-1, 0): -zeta, (0, 1): -zeta, (0, -1): -zeta})
+
+
+def certifying_grid(monkeypatch, model):
+    """car_spectrum(model) and the side of the largest grid it sampled."""
+    sides = []
+
+    def spy(evaluator, dim, nodes):
+        sides.append(len(nodes))
+        return _sample_grid(evaluator, dim, nodes)
+
+    monkeypatch.setattr(spectra, "_sample_grid", spy)
+    return car_spectrum(model), max(sides, default=None)
+
+
+class TestCarPositivity:
+    # offset 129 aliases offset 1 on a 128-point grid, where the two cosine terms cancel
+    ALIASED = CarModel({(0, 0): 1.0, (129, 0): 0.3, (-129, 0): 0.3, (1, 0): -0.3, (-1, 0): -0.3})
+
+    def test_aliased_model_rejected(self, monkeypatch):
+        w = omega_grid(128)
+        assert np.all(1.0 + 0.6 * np.cos(129 * w) - 0.6 * np.cos(w) > 0.0)  # blind at 128
+        line = np.linspace(-math.pi, math.pi, 100_001)
+        assert np.mean(1.0 + 0.6 * np.cos(129 * line) - 0.6 * np.cos(line) < 0.0) > 0.05
+        with pytest.raises(InvalidModelError, match="not positive on the 1024 x 1024 grid"):
+            certifying_grid(monkeypatch, self.ALIASED)
+
+    @pytest.mark.parametrize("zeta,side", [(0.2, 128), (0.2499, 128), (0.24999, 512), (0.249999, 2048)])
+    def test_near_singular_sfcar_certified(self, monkeypatch, zeta, side):
+        spec, sampled = certifying_grid(monkeypatch, sfcar_as_car(zeta))
+        assert sampled == side
+        assert spec(np.array(0.0), np.array(0.0)) == pytest.approx(1.0 / (FOUR_PI2 * (1.0 - 4.0 * zeta)))
+
+    def test_uncertifiable_model_rejected(self, monkeypatch):
+        # positive (min 4e-7 at the origin), but too flat for the Taylor bound at 2048
+        with pytest.raises(InvalidModelError, match="cannot certify .* up to 2048 x 2048"):
+            certifying_grid(monkeypatch, sfcar_as_car(0.2499999))
+
+    def test_offset_beyond_the_largest_grid_rejected_unsampled(self, monkeypatch):
+        with pytest.raises(InvalidModelError, match="cannot certify"):
+            certifying_grid(monkeypatch, CarModel({(0, 0): 1.0, (600, 0): 0.1, (-600, 0): 0.1}))
+
+    @pytest.mark.parametrize("theta", [
+        {(0, 0): 1.0},
+        {(0, 0): 1.0, (1, 0): -0.3, (-1, 0): -0.3},
+        {(0, 0): 2.0, (1, 0): -0.3, (-1, 0): -0.3, (0, 1): -0.3, (0, -1): -0.3},
+        {(0, 0): 1.0, (1, 0): -0.2, (-1, 0): -0.2, (1, 1): 0.1, (-1, -1): 0.1},
+    ])
+    def test_common_models_certified_on_the_first_grid(self, monkeypatch, theta):
+        assert certifying_grid(monkeypatch, CarModel(theta))[1] == 128
 
 
 class TestCarSpectrum:
@@ -138,6 +197,62 @@ def test_grid_values_equal_mesh_sampling(name):
     w1, w2 = np.meshgrid(omega_grid(64), omega_grid(64), indexing="ij")
     mesh = np.broadcast_to(spec.evaluator(w1, w2), (64, 64))
     assert np.array_equal(spec.grid_values(64), mesh)  # bitwise, inf sentinel included
+
+
+def mesh_sampling(spec, nodes):
+    """Reference: the open-axes sampling that grid_values, circulant_eigs and car_spectrum
+    each carried before they shared _sample_grid."""
+    axes = np.meshgrid(*[nodes] * spec.dim, indexing="ij", sparse=True)
+    return np.broadcast_to(np.asarray(spec.evaluator(*axes), dtype=float), (len(nodes),) * spec.dim)
+
+
+def sign_loop_autocovariance(spec, grid):
+    """Reference: the inverse DFT of the -pi-based grid times a (-1)^{h1+...+hd} sign per axis."""
+    tab = TWO_PI**spec.dim * np.fft.ifftn(mesh_sampling(spec, omega_grid(grid))).real
+    sign = np.ones(grid)
+    sign[1::2] = -1.0
+    for axis in range(spec.dim):
+        shape = [1] * spec.dim
+        shape[axis] = grid
+        tab = tab * sign.reshape(shape)
+    return tab
+
+
+PARITY_SPECTRA = {
+    **{f"sfcar {zeta}": sfcar_spectrum(SfcarModel(kappa=1.3, zeta=zeta)) for zeta in (0.0, 0.2, 0.249, 0.25)},
+    "car": SAMPLED_SPECTRA["car"],
+    "constant 1-D": constant_spectrum(0.7, dim=1),
+    "constant 2-D": constant_spectrum(0.7),
+    "hidden": SAMPLED_SPECTRA["hidden"],
+    "3-D": SpectralDensity(lambda a, b, c: 1.0 / (1.5 - 0.3 * (np.cos(a) + np.cos(b) + np.cos(c))), dim=3),
+}
+PARITY_CASES = [(name, grid) for name, spec in PARITY_SPECTRA.items()
+                for grid in ((8, 64) if spec.dim == 3 else (7, 8, 64, 66, 512))]
+
+
+@pytest.mark.parametrize("name,grid", PARITY_CASES)
+def test_one_sampler_is_bitwise_the_references(name, grid):
+    spec = PARITY_SPECTRA[name]
+    assert np.array_equal(spec.grid_values(grid), mesh_sampling(spec, omega_grid(grid)))
+    eigs = TWO_PI**spec.dim * mesh_sampling(spec, TWO_PI * np.arange(grid) / grid)
+    if np.all(np.isfinite(eigs)):
+        assert np.array_equal(circulant_eigs(spec, grid).eigs, eigs)
+    else:
+        with pytest.raises(SingularSpectrumError):
+            circulant_eigs(spec, grid)
+    if grid % 2 == 0 and grid >= 64:
+        if np.all(np.isfinite(spec.grid_values(grid))):
+            assert np.array_equal(autocovariance_grid(spec, grid), sign_loop_autocovariance(spec, grid))
+        else:
+            with pytest.raises(SingularSpectrumError):
+                autocovariance_grid(spec, grid)
+
+
+def test_sampling_the_singular_sfcar_raises_no_warning():
+    spec = sfcar_spectrum(SfcarModel(kappa=1.0, zeta=0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(spec.grid_values(8)[4, 4])
 
 
 class TestAutocovariance:
