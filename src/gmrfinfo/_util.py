@@ -11,6 +11,9 @@ from typing import Callable
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden_section_max: a refined value must beat the grid maximum by more than this share of it;
+# reordering the rate kernel's sums moves a rate by about 1e-15 relative, so a smaller gain is a tie
+_TIE_REL = 1e-14
 
 
 def check_finite(**values: float) -> None:
@@ -60,7 +63,8 @@ def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarr
 
     The bracket spans the neighbors of the first grid maximum and shrinks
     while ``hi - lo > abs_tol + rel_tol * hi``.  Returns ``(x, f(x))`` for its
-    midpoint, or the best grid point and its value where that value is higher.
+    midpoint where that beats the best grid value by more than ``_TIE_REL`` of it,
+    otherwise the best grid point and its value (ties go to the grid point).
     """
     best = int(np.argmax(fs))
     lo = xs[max(best - 1, 0)]
@@ -79,7 +83,7 @@ def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarr
             f2 = f(x2)
     x = 0.5 * (lo + hi)
     fx = f(x)
-    if fx >= fs[best]:
+    if fx - fs[best] > _TIE_REL * abs(fs[best]):
         return float(x), float(fx)
     return float(xs[best]), float(fs[best])
 

@@ -61,10 +61,14 @@ class LowSnrConstants:
 
 
 def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) of the hidden SFCAR from one grid pass.
+    """(KLI, MI) of the hidden SFCAR from one pass over the folded grid.
 
     Both integrands are functions of a = snr / (q (1 - 2 zeta (cos w1 + cos w2))):
-    MI = mean(log1p(a)) / 2 and KLI = mean(log1p(a) - a / (1 + a)) / 2.
+    MI = mean(log1p(a)) / 2 and KLI = mean(log1p(a) - a / (1 + a)) / 2, the means
+    taken over the grid^2 nodes of omega_grid(grid).  Node grid - i has the cosine
+    of node i, so only nodes i = 0..grid // 2 are evaluated, each weighted 2 when it
+    also stands for its mirror (1 at -pi and, for even grids, at 0); the weights
+    1, 2 and 4 are exact and the weighted sums are numpy's pairwise sums.
     zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
     check_at_least(0, snr=snr)
@@ -72,13 +76,20 @@ def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
     q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    c = np.cos(omega_grid(grid))
+    half = grid // 2 + 1
+    c = np.cos(omega_grid(grid)[:half])
+    w = np.full(half, 2.0)
+    w[0] = 1.0
+    if grid % 2 == 0:
+        w[-1] = 1.0
+    weights = np.outer(w, w)
     a = snr / (q * (1.0 - 2.0 * zeta * (c[:, None] + c)))
     h = np.log1p(a)
-    mi = 0.5 * float(np.mean(h))  # halving is exact, so it can follow the mean
+    mi = 0.5 * (float((h * weights).sum()) / grid**2)  # halving is exact, so it can follow the mean
     a /= 1.0 + a
     h -= a
-    return 0.5 * float(np.mean(h)), mi
+    h *= weights
+    return 0.5 * (float(h.sum()) / grid**2), mi
 
 
 def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
@@ -154,8 +165,8 @@ def optimal_zeta(snr: float, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     Coarse scan of 101 points over [0, 1/4] (ties resolved toward smaller
     zeta) followed by golden-section refinement between the neighbors of the
     best coarse point.  Returns (zeta_star, kli_star); the best coarse point
-    is returned instead where its KLI is higher, so an optimum at zeta = 0 is
-    exact.
+    is returned instead unless the refined KLI beats it by more than 1e-14
+    relative (ties go to the grid point), so an optimum at zeta = 0 is exact.
     """
     check_positive(snr=snr)
 

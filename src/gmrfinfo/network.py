@@ -48,6 +48,16 @@ class InfeasibleEnergyError(ValueError):
     """The energy budget cannot cover the required communication energy."""
 
 
+def _check_side(n: int) -> None:
+    """ValueError naming n unless it is an integer >= 2 whose cube, the order of the hop
+    sum, is a finite float."""
+    check_integer(2, n=n)
+    try:
+        float(n) ** 3
+    except OverflowError:
+        raise ValueError("n is too large: n ** 3 overflows a float") from None
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Lattice sensor network: n^2 nodes with spacing dn [m], sensing energy
@@ -68,7 +78,7 @@ class NetworkConfig:
     fusion: bool = False
 
     def __post_init__(self):
-        check_integer(2, n=self.n)
+        _check_side(self.n)
         check_positive(dn=self.dn, e0=self.e0, beta=self.beta)
         check_at_least(0, es=self.es)
         check_at_least(2, nu=self.nu)
@@ -253,7 +263,7 @@ def sweep_fixed_pernode_energy(
     """
     n_sorted = _sorted_nonempty(n_list, "sides")
     for n in n_sorted:
-        check_integer(2, n=n)
+        _check_side(n)
     n0 = n_sorted[0]
     ebar = cfg.es + total_energy(replace(cfg, n=n0, es=0.0)) / n0**2
     rate = network_report(cfg, measure, grid).per_node_info
@@ -418,9 +428,9 @@ def optimal_density(
     communication energy from the odd-n closed form, sensing energy from the
     budget at equality, SNR = beta * es, and total information = n^2 times
     the per-node rate.  Densities with negative sensing energy are excluded.
-    The best grid point is refined by golden-section search and kept where
-    the refined point is lower; interior local maxima of the grid curve are
-    reported alongside.
+    The best grid point is refined by golden-section search and kept unless
+    the refined point is higher by more than 1e-14 relative; interior local
+    maxima of the grid curve are reported alongside.
     """
     check_positive(L=L, et=et, beta=beta, e0=e0)
     check_at_least(2, nu=nu)

@@ -391,6 +391,18 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--n-list", str(10**200), "9", "17"],
+        ["energy", "--n", str(10**200)],
+        ["scaling", "--n-list", str(10**113), "9"],
+    ])
+    def test_overflowing_side_is_one_error_line(self, capfd, argv):
+        code = main([*argv, "--grid", "8"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: n is too large: n ** 3 overflows a float\n"
+
     def test_huge_density_side_runs(self, capfd, tmp_path):
         # --L only bounds the one-node check, so --L 1e200 writes the --L 4 rows
         paths = [tmp_path / f"{side}.csv" for side in ("4", "1e200")]

@@ -41,7 +41,7 @@ def c3_grid(zeta: float, grid: int = 2048) -> float:
 
 
 def reference_sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) by the earlier expression, which halved the arrays before the means."""
+    """(KLI, MI) as means over all grid^2 nodes, halving the arrays first: the unfolded rule."""
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
     q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
@@ -152,13 +152,60 @@ class TestWeakCorrelation:
 class TestSinglePass:
     ZETAS = (0.0, 0.1, 0.24, 0.25 - 1e-6, 0.25 - 4.5e-13, 0.25)
 
-    @pytest.mark.parametrize("grid", [1, 2, 3, 16, 512, 1024])
-    def test_bitwise_equal_to_reference(self, grid):
+    @staticmethod
+    def snrs(grid):
         rng = np.random.default_rng(grid)
-        snrs = [0.0, 1e-6, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 5))]
-        for snr in snrs:
+        return [0.0, 1e-6, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 5))]
+
+    @staticmethod
+    def assert_agrees(snr, zeta, grid, slack=0.0):
+        # the folded sums reorder the full grid's terms: MI within 2e-15 relative, and KLI
+        # within 2e-15 of MI, since the KLI integrand cancels like a^2 / 2 at small snr
+        kli, mi = _sfcar_rates(snr, zeta, grid)
+        kli_ref, mi_ref = reference_sfcar_rates(snr, zeta, grid)
+        assert abs(mi - mi_ref) <= 2e-15 * mi_ref + slack, (snr, zeta, grid)
+        assert abs(kli - kli_ref) <= 2e-15 * mi_ref + slack, (snr, zeta, grid)
+
+    @staticmethod
+    def cosine_rounding_slack(snr, zeta, grid):
+        """First-order change of the MI mean when each cosine moves by 2 ulps of 1.
+
+        The full grid rounds the cosines of node i and its mirror grid - i apart, and the
+        denominator d = 1 - 2 zeta (cos w1 + cos w2) cancels near zeta = 1/4, so either
+        sum may move by about mean(a / (1 + a) * 2 zeta * 4 eps / d) / 2 there (the KLI
+        integrand is less sensitive).  Against a 40-digit rectangle rule, the worst case
+        found (grid 67, zeta = 1/4 - 4.2e-13) was the full grid's, off by 1.9e-14 of MI.
+        """
+        if snr == 0.0 or zeta == 0.25:
+            return 0.0
+        q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
+        c = np.cos(omega_grid(grid))
+        d = 1.0 - 2.0 * zeta * (c[:, None] + c[None, :])
+        a = snr / (q * d)
+        return float(np.mean(a / (1.0 + a) * 4.0 * zeta * np.finfo(float).eps / d))
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_bitwise_equal_to_reference(self, grid):
+        # grids 1 and 2 have no mirrored nodes, so the fold sums the full grid's terms in order
+        for snr in self.snrs(grid):
             for zeta in self.ZETAS:
                 assert _sfcar_rates(snr, zeta, grid) == reference_sfcar_rates(snr, zeta, grid), (snr, zeta)
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 7, 16, 33, 64, 65, 512, 1024])
+    def test_agrees_with_full_grid(self, grid):
+        # snr = 0 and zeta = 1/4 are among the cases, where MI = 0 makes the bounds bitwise
+        for snr in [*self.snrs(grid), 0.008]:
+            for zeta in self.ZETAS:
+                self.assert_agrees(snr, zeta, grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.integers(min_value=1, max_value=129),
+           snr=st.floats(min_value=-8.0, max_value=7.0).map(lambda e: 10.0**e),
+           zeta=st.one_of(st.floats(min_value=0.0, max_value=0.25),
+                          st.floats(min_value=-13.0, max_value=-1.0).map(lambda e: 0.25 - 10.0**e),
+                          st.floats(min_value=-9.0, max_value=-2.0).map(lambda e: 10.0**e)))
+    def test_agrees_with_full_grid_property(self, grid, snr, zeta):
+        self.assert_agrees(snr, zeta, grid, self.cosine_rounding_slack(snr, zeta, grid))
 
     def test_keeps_no_memory(self):
         _sfcar_rates(10.0, 0.2, 8)  # numpy's first-call set-up stays outside the traced call
@@ -169,8 +216,8 @@ class TestSinglePass:
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert after - before < 2**16  # the 8 MiB grid arrays are all freed
-        assert peak - before < 25 * 2**20  # three grid arrays at most
+        assert after - before < 2**16  # the 2 MiB folded-grid arrays are all freed
+        assert peak - before < 10 * 2**20  # four folded-grid arrays at most
 
 
 class TestGeneralRates:
@@ -378,7 +425,10 @@ class TestOptimalZeta:
         assert v >= coarse > 0.0
         assert v == kli_rate_sfcar(snr, z)
 
-    @pytest.mark.parametrize("db", [0.0, 10.0, 30.0, 60.0])
+    # at 0 dB the KLI c2 is 0 and the drop from zeta = 0 is about c4 zeta^4, far below rounding,
+    # so a refined point that ties f(0) must not win
+    @pytest.mark.parametrize("db", [round(0.00125 * i, 5) for i in range(41)]
+                             + [0.5, 1.0, 3.0, 10.0, 30.0, 60.0])
     def test_iid_optimum_is_exact(self, db):
         snr = 10 ** (db / 10)
         assert optimal_zeta(snr) == (0.0, kli_rate_sfcar(snr, 0.0))
@@ -416,3 +466,31 @@ class TestOptimalZeta:
         for db10 in range(-100, 105, 5):
             z, _ = optimal_zeta(10 ** (db10 / 100.0), grid=256)
             assert not (0.02 < z < 0.15), f"zeta*={z:.4f} at {db10 / 10.0} dB"
+
+
+class TestOptimalZetaOnset:
+    """Below 0 dB the KLI gain c2 zeta^2 + c4 zeta^4 (TestWeakCorrelation) peaks at
+    zeta* = sqrt(c2 / (2 |c4|)), and the next term is O(zeta^2) relative."""
+
+    DBS = (-0.01, -0.02, -0.05, -0.1, -0.2, -0.3)
+
+    @pytest.fixture(scope="class")
+    def optima(self):
+        return {db: optimal_zeta(10 ** (db / 10))[0] for db in self.DBS}
+
+    @staticmethod
+    def predicted(db):
+        s = 10 ** (db / 10)
+        (c2, c4), _ = TestWeakCorrelation.coefficients(s)
+        return math.sqrt(c2 / (2.0 * abs(c4)))
+
+    def test_matches_onset_law(self, optima):
+        assert optima[-0.01] == pytest.approx(self.predicted(-0.01), rel=0.01)
+
+    def test_rises_strictly(self, optima):
+        zs = [optima[db] for db in self.DBS]
+        assert all(a < b for a, b in zip(zs, zs[1:])), zs
+
+    def test_law_degrades_with_depth(self, optima):
+        gaps = [abs(optima[db] / self.predicted(db) - 1.0) for db in self.DBS]
+        assert all(a < b for a, b in zip(gaps, gaps[1:])), gaps

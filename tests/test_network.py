@@ -99,6 +99,18 @@ class TestEnergy:
             replace(BASE, dn=dn, nu=nu)
         assert repr(dn) in str(info.value) and repr(nu) in str(info.value)
 
+    # the hop sum is about n^3 / 2: an int side whose cube overflows a float raised a raw
+    # OverflowError from the energy sums, and float(10**400) itself overflows
+    @pytest.mark.parametrize("n", [10**113, 10**200, 10**400])
+    def test_config_rejects_side_whose_cube_overflows(self, n):
+        with pytest.raises(ValueError, match=r"^n is too large: n \*\* 3 overflows a float$"):
+            replace(BASE, n=n)
+
+    def test_largest_sides_keep_finite_energy(self):
+        cfg = replace(BASE, n=10**102)  # 1e306: the cube still fits a float
+        assert math.isfinite(total_energy(cfg))
+        assert math.isfinite(network_report(cfg, grid=8).total_info)
+
     def test_tiny_dn_power_underflows_to_zero_cost(self):
         assert total_energy(replace(BASE, dn=0.5, nu=1e5, es=0.0)) == 0.0
 
@@ -167,6 +179,12 @@ class TestPernodeEnergy:
     def test_empty_sides_rejected(self):
         with pytest.raises(ValueError, match="sides must not be empty"):
             sweep_fixed_pernode_energy(BASE, [])
+
+    @pytest.mark.parametrize("sides", [[9, 10**200], [10**200, 9], [9, 10**113, 17]])
+    def test_side_whose_cube_overflows_is_a_config_error(self, sides):
+        # only the smallest side builds a config; every side must still be checked
+        with pytest.raises(ValueError, match=r"^n is too large: n \*\* 3 overflows a float$"):
+            sweep_fixed_pernode_energy(BASE, sides, grid=8)
 
     def test_side_below_two_is_a_config_error(self):
         with pytest.raises(ValueError, match="n must be >= 2, got 1"):

@@ -123,6 +123,19 @@ class TestGoldenSectionMax:
     def test_refined_value_below_grid_point_returns_grid_point(self):
         assert self.search(lambda x: 1.0 if x == 0.5 else -abs(x - 0.5), abs_tol=1e-6) == (0.5, 1.0)
 
+    @pytest.mark.parametrize("base", [1.0, -1.0])
+    @pytest.mark.parametrize("gain,refined", [(5e-15, False), (1e-14, False), (2e-14, True)])
+    def test_gain_within_rounding_is_a_tie(self, base, gain, refined):
+        # off the grid the function is higher by `gain` relative; only a gain above 1e-14 wins
+        def f(x):
+            return base if x in self.xs else base + gain * abs(base)
+
+        x, v = self.search(f, abs_tol=1e-6)
+        if refined:
+            assert 0.0 < x < 0.1 and v == base + gain * abs(base)
+        else:
+            assert (x, v) == (0.0, base)
+
     def test_rise_toward_end_stays_interior(self):
         # the maximum is approached, not reached: the end itself scores 0
         x, v = self.search(lambda x: x if x < 1.0 else 0.0, abs_tol=1e-6)
