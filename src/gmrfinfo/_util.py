@@ -1,12 +1,12 @@
 """Small shared helpers: bisection, golden-section search, and input checks that raise a
 ValueError naming the keyword: ``check_finite`` (not NaN or inf), ``check_positive`` (finite
 and > 0), ``check_at_least`` (finite and >= a minimum) and ``check_integer`` (an integer >= a
-minimum, such as a lattice side, a grid or a trial count)."""
+minimum, such as a lattice side, a grid or a trial count); ``sorted_points`` checks and sorts a list."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -47,6 +47,17 @@ def check_integer(minimum: int, **values: int) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def sorted_points(values: Iterable, name: str, check: Callable[[Any], None]) -> list:
+    """``values`` ascending, after ``check`` has passed on each of them in the given order;
+    ValueError ``<name> must not be empty`` if there are none."""
+    points = list(values)
+    if not points:
+        raise ValueError(f"{name} must not be empty")
+    for value in points:
+        check(value)
+    return sorted(points)
 
 
 def bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> tuple[float, float]:

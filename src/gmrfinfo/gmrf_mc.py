@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._util import check_at_least, check_integer, check_positive
+from ._util import check_at_least, check_integer, check_positive, sorted_points
 from .spectra import (
     TWO_PI,
     SfcarModel,
@@ -158,6 +159,7 @@ def _noise_trials(model: SfcarModel, sigma2: float, n: int, trials: int, seed: i
     substream, so it depends only on (seed, trial index).  The chunks share one buffer of
     about _CHUNK_BYTES, so each chunk must be used up before the next is drawn."""
     check_integer(30, trials=trials)
+    check_integer(0, seed=seed)
     cs1 = circulant_eigs(hidden_spectrum(sfcar_spectrum(model), sigma2), n)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     return cs1, _field_chunks(cs1.eigs.shape, math.sqrt(sigma2), seeds)
@@ -320,6 +322,13 @@ def _hidden_limits(model: SfcarModel, sigma2: float) -> tuple[float, float]:
     return logdet, quadform
 
 
+def _check_dense_side(n: int, cap: int, what: str) -> None:
+    """ValueError unless n is an integer side in 1..cap of a dense check named by what."""
+    if n > cap:
+        raise ValueError(f"{what} limited to n <= {cap}, got {n}")
+    check_integer(1, n=n)
+
+
 def _cholesky(block: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(block)
@@ -337,13 +346,13 @@ def logdet_convergence(
 
     The log-determinant is the sum over the four reflection blocks'
     Cholesky factors.  The gap shrinks like 1/n.  Sides above 48 are rejected
-    (dense assembly).
+    (dense assembly), before any is factorized; the sides come back ascending.
     """
+    check = partial(_check_dense_side, cap=_DENSE_LOGDET_MAX, what="dense log-det")
+    sides = sorted_points(n_list, "sides", check)
     target = _hidden_limits(model, sigma2)[0]
     out = []
-    for n in n_list:
-        if n > _DENSE_LOGDET_MAX:
-            raise ValueError(f"dense log-det limited to n <= {_DENSE_LOGDET_MAX}, got {n}")
+    for n in sides:
         logdet = sum(2.0 * float(np.sum(np.log(np.diag(_cholesky(block)))))
                      for block in _reflection_blocks(model, sigma2, n, wrap=False))
         out.append((n, abs(logdet / n**2 - target)))
@@ -364,12 +373,11 @@ def quadform_limit_check(
     both converge to the spectral integral of sigma2 / ((2 pi)^2 f1).  The
     same noise fields drive both paths.
     """
-    if n > _BLOCK_CHECK_MAX:
-        raise ValueError(f"dense quadratic form limited to n <= {_BLOCK_CHECK_MAX}, got {n}")
+    _check_dense_side(n, _BLOCK_CHECK_MAX, "dense quadratic form")
     target = _hidden_limits(model, sigma2)[1]
+    cs1, chunks = _noise_trials(model, sigma2, n, trials, seed)
     chols = [_cholesky(block) for block in _reflection_blocks(model, sigma2, n, wrap=False)]
     bases = [basis for _, _, basis in _parity_bases(n)]
-    cs1, chunks = _noise_trials(model, sigma2, n, trials, seed)
     circ_weights = _half_spectrum_weights(1.0 / (cs1.eigs * n**4))
     q_dense, q_circ = [], []
     for y in chunks:
@@ -393,11 +401,11 @@ def toeplitz_circulant_gap(
     """Per-node trace norm of (Sigma1 - C), the block-Toeplitz covariance
     minus its circulant approximation, for each side in n_list; O(1/n).
     Both commute with the axis flips, so the norm sums over the four
-    reflection blocks of the difference."""
+    reflection blocks of the difference.  Sides above 32 are rejected before
+    any work; the sides come back ascending."""
+    check = partial(_check_dense_side, cap=_BLOCK_CHECK_MAX, what="dense eigendecomposition")
     out = []
-    for n in n_list:
-        if n > _BLOCK_CHECK_MAX:
-            raise ValueError(f"dense eigendecomposition limited to n <= {_BLOCK_CHECK_MAX}, got {n}")
+    for n in sorted_points(n_list, "sides", check):
         pairs = zip(_reflection_blocks(model, sigma2, n, wrap=False),
                     _reflection_blocks(model, sigma2, n, wrap=True))
         # each difference block is symmetric, so its singular values are its absolute eigenvalues

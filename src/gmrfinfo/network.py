@@ -14,7 +14,8 @@ import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
 from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
-from ._util import bisect, check_at_least, check_finite, check_integer, check_positive, golden_section_max
+from ._util import (bisect, check_at_least, check_finite, check_integer, check_positive, golden_section_max,
+                    sorted_points)
 
 __all__ = [
     "InfeasibleEnergyError",
@@ -42,6 +43,13 @@ __all__ = [
 
 # optimal_density: relative golden-section bracket width at which the refinement stops
 _DENSITY_REL_TOL = 1e-4
+
+# measure -> (per-node rate at (snr, zeta, grid), decorrelated limit at snr); the kernels are
+# looked up by name at each call, so rebinding this module's names (as a tracer does) takes effect
+_MEASURES = {
+    "kli": (lambda snr, zeta, grid: kli_rate_sfcar(snr, zeta, grid), lambda snr: stein_kli(snr)),
+    "mi": (lambda snr, zeta, grid: mi_rate_sfcar(snr, zeta, grid), lambda snr: 0.5 * math.log1p(snr)),
+}
 
 
 class InfeasibleEnergyError(ValueError):
@@ -139,47 +147,31 @@ def total_energy(cfg: NetworkConfig) -> float:
     return _lattice_energy(cfg, cfg.n, hop_sum)
 
 
-def _sorted_nonempty(values: Sequence, name: str) -> list:
-    """values ascending; ValueError naming them if there are none."""
-    out = sorted(values)
-    if not out:
-        raise ValueError(f"{name} must not be empty")
-    return out
+def _check_measure(measure: str) -> None:
+    if measure not in ("kli", "mi"):
+        raise ValueError(f"measure must be 'kli' or 'mi', got {measure!r}")
 
 
-def _sorted_densities(mu_list: Sequence[float]) -> list[float]:
-    """mu_list ascending; ValueError if it is empty or a density is not finite and positive."""
-    mus = _sorted_nonempty(mu_list, "densities")
-    if not all(math.isfinite(mu) and mu > 0.0 for mu in mus):
+def _check_density(mu: float) -> None:
+    if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError("densities must be finite and positive")
-    return mus
 
 
-def _per_node_rate(snr: float, zeta: float, measure: str, grid: int) -> float:
-    if measure == "kli":
-        return kli_rate_sfcar(snr, zeta, grid)
-    if measure == "mi":
-        return mi_rate_sfcar(snr, zeta, grid)
-    raise ValueError(f"measure must be 'kli' or 'mi', got {measure!r}")
+def _operating_point(snr: float, alpha: float, dn: float, measure: str, grid: int) -> tuple[float, float]:
+    """(zeta, per-node rate) of sensors at spacing dn in a field of diffusion rate alpha."""
+    zeta = zeta_from_spacing(PhysicalField(alpha), dn)
+    return zeta, _MEASURES[measure][0](snr, zeta, grid)
 
 
 def network_report(cfg: NetworkConfig, measure: str = "kli", grid: int = DEFAULT_GRID) -> NetworkReport:
     """Evaluate one configuration: spacing -> zeta, es -> SNR, rate -> totals."""
-    zeta = zeta_from_spacing(PhysicalField(cfg.alpha), cfg.dn)
+    _check_measure(measure)
     snr = cfg.beta * cfg.es
-    rate = _per_node_rate(snr, zeta, measure, grid)
+    zeta, rate = _operating_point(snr, cfg.alpha, cfg.dn, measure, grid)
     info = cfg.n**2 * rate
     energy = total_energy(cfg)
-    return NetworkReport(
-        n=cfg.n,
-        dn=cfg.dn,
-        snr=snr,
-        zeta=zeta,
-        per_node_info=rate,
-        total_info=info,
-        total_energy=energy,
-        efficiency=info / energy,
-    )
+    return NetworkReport(n=cfg.n, dn=cfg.dn, snr=snr, zeta=zeta, per_node_info=rate, total_info=info,
+                         total_energy=energy, efficiency=info / energy)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -193,11 +185,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> FitResult:
 
 
 def fit_loglog(x: Sequence[float], y: Sequence[float], drop_smallest: float = 0.25) -> FitResult:
-    """OLS slope of log y vs log x, discarding the smallest-x quarter.
+    """OLS slope of log y vs log x, discarding the share drop_smallest of smallest-x points.
 
     The scaling laws are asymptotic; the smallest sweep points are
     pre-asymptotic transients that bias the fitted exponent.
     """
+    if not 0.0 <= drop_smallest < 1.0:
+        raise ValueError(f"drop_smallest must lie in [0, 1), got {drop_smallest!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -227,7 +221,9 @@ def sweep_fixed_density(
     Fits log(efficiency) against log(area) and log(total info) against
     log(total energy) over the retained (largest) points.
     """
-    reports = tuple(network_report(replace(cfg, n=n), measure, grid) for n in n_list)
+    _check_measure(measure)
+    reports = tuple(network_report(replace(cfg, n=n), measure, grid)
+                    for n in sorted_points(n_list, "sides", _check_side))
     area = [r.n**2 * r.dn**2 for r in reports]
     return FixedDensitySweep(
         reports=reports,
@@ -261,9 +257,8 @@ def sweep_fixed_pernode_energy(
     The per-node information of the deployment is m^2 * rate / n^2; its
     exponent in the node count N = n^2 is the quantity of interest.
     """
-    n_sorted = _sorted_nonempty(n_list, "sides")
-    for n in n_sorted:
-        _check_side(n)
+    _check_measure(measure)
+    n_sorted = sorted_points(n_list, "sides", _check_side)
     n0 = n_sorted[0]
     ebar = cfg.es + total_energy(replace(cfg, n=n0, es=0.0)) / n0**2
     rate = network_report(cfg, measure, grid).per_node_info
@@ -277,14 +272,9 @@ def sweep_fixed_pernode_energy(
 
     sides = [gathered(n) for n in n_sorted]
     per_node = [m**2 * rate / n**2 for m, n in zip(sides, n_sorted)]
-    nodes = [n**2 for n in n_sorted]
-    return PernodeEnergySweep(
-        n_list=tuple(n_sorted),
-        gathered_side=tuple(sides),
-        per_node_info=tuple(per_node),
-        ebar=ebar,
-        info_vs_nodes=fit_loglog(nodes, per_node),
-    )
+    return PernodeEnergySweep(n_list=tuple(n_sorted), gathered_side=tuple(sides),
+                              per_node_info=tuple(per_node), ebar=ebar,
+                              info_vs_nodes=fit_loglog([n**2 for n in n_sorted], per_node))
 
 
 @dataclass(frozen=True)
@@ -307,31 +297,20 @@ def sweep_spacing(
     The gap to the decorrelated limit D closes like sqrt(dn) exp(-alpha dn),
     so the slope of log(gap/sqrt(dn)) against dn estimates -alpha.
     """
+    _check_measure(measure)
     snr = cfg.beta * cfg.es
-    field = PhysicalField(cfg.alpha)
-    limit = stein_kli(snr) if measure == "kli" else 0.5 * math.log1p(snr)
-    dns = _sorted_nonempty(dn_list, "spacings")
-    for d in dns:
-        check_positive(spacing=float(d))
-    rates = [_per_node_rate(snr, zeta_from_spacing(field, d), measure, grid) for d in dns]
-    xs, ys = [], []
-    for d, r in zip(dns, rates):
-        gap = limit - r
-        if gap > 0.0:
-            xs.append(d)
-            ys.append(math.log(gap / math.sqrt(d)))
-    if len(set(xs)) >= 2:
-        fit = _ols(np.asarray(xs), np.asarray(ys))
+    limit = _MEASURES[measure][1](snr)
+    dns = sorted_points(dn_list, "spacings", lambda d: check_positive(spacing=float(d)))
+    rates = [_operating_point(snr, cfg.alpha, d, measure, grid)[1] for d in dns]
+    # (dn, log(gap / sqrt(dn))) wherever the gap to the limit is positive
+    kept = [(d, math.log((limit - r) / math.sqrt(d))) for d, r in zip(dns, rates) if limit - r > 0.0]
+    if len({d for d, _ in kept}) >= 2:
+        fit = _ols(*np.array(kept, dtype=float).T)
     else:
         # one spacing only, or spacings so large the gap is below roundoff at all but one
         fit = FitResult(slope=math.nan, intercept=math.nan, r2=math.nan)
-    return SpacingSweep(
-        dn_list=tuple(dns),
-        rates=tuple(rates),
-        limit=limit,
-        gap_fit=fit,
-        alpha_estimate=-fit.slope,
-    )
+    return SpacingSweep(dn_list=tuple(dns), rates=tuple(rates), limit=limit, gap_fit=fit,
+                        alpha_estimate=-fit.slope)
 
 
 @dataclass(frozen=True)
@@ -351,22 +330,18 @@ def sweep_infinite_density(
     grid: int = DEFAULT_GRID,
 ) -> DensitySweep:
     """Per-node information versus node density mu >= 1/L^2 on a fixed L x L area at fixed SNR."""
-    check_positive(L=L)
-    field = PhysicalField(alpha)
-    mus = _sorted_densities(mu_list)
+    _check_measure(measure)
+    check_positive(L=L, alpha=alpha)
+    mus = sorted_points(mu_list, "densities", _check_density)
     if float(mus[0]) * L * L < 1.0:  # L * L overflows to inf where L**2 would raise
         raise ValueError(f"density {float(mus[0])!r} puts fewer than one node on an area of side L = {L!r}")
-    rates = [_per_node_rate(snr, zeta_from_spacing(field, 1.0 / math.sqrt(mu)), measure, grid) for mu in mus]
+    rates = [_operating_point(snr, alpha, 1.0 / math.sqrt(mu), measure, grid)[1] for mu in mus]
     products = [mu * r for mu, r in zip(mus, rates)]
     top = [p for mu, p in zip(mus, products) if mu >= mus[-1] / 10.0]
     mean_top = sum(top) / len(top)
     variation = (max(top) - min(top)) / mean_top if mean_top > 0 else math.inf
-    return DensitySweep(
-        mu_list=tuple(mus),
-        rates=tuple(rates),
-        per_area_info=tuple(products),
-        plateau_variation=variation,
-    )
+    return DensitySweep(mu_list=tuple(mus), rates=tuple(rates), per_area_info=tuple(products),
+                        plateau_variation=variation)
 
 
 @dataclass(frozen=True)
@@ -388,10 +363,9 @@ def sweep_energy_fixed_all(
     Raises InfeasibleEnergyError if any budget is below the communication
     floor.
     """
+    _check_measure(measure)
+    ets = sorted_points(et_list, "budgets", lambda et: check_finite(et=et))
     comm = total_energy(replace(cfg, es=0.0))
-    ets = _sorted_nonempty(et_list, "budgets")
-    for et in ets:
-        check_finite(et=et)
     if ets[0] <= comm:
         raise InfeasibleEnergyError(
             f"total energy {ets[0]:.6g} J is below the communication floor {comm:.6g} J"
@@ -432,11 +406,12 @@ def optimal_density(
     the refined point is higher by more than 1e-14 relative; interior local
     maxima of the grid curve are reported alongside.
     """
+    _check_measure(measure)
     check_positive(L=L, et=et, beta=beta, e0=e0)
     check_at_least(2, nu=nu)
-    if mu_grid is None:
-        mu_grid = np.logspace(-1, 4, 201)
-    field = PhysicalField(alpha)
+    check_positive(alpha=alpha)
+    mus = np.asarray(sorted_points(np.logspace(-1, 4, 201) if mu_grid is None else mu_grid,
+                                   "densities", _check_density), dtype=float)
 
     def evaluate(mu: float) -> float:
         n = L * math.sqrt(mu)
@@ -452,21 +427,16 @@ def optimal_density(
         es = (et - comm) / n**2
         if not es > 0.0:
             return -math.inf
-        snr = beta * es
-        zeta = zeta_from_spacing(field, dn)
-        return n**2 * _per_node_rate(snr, zeta, measure, grid)
+        return n**2 * _operating_point(beta * es, alpha, dn, measure, grid)[1]
 
-    mus = np.asarray(_sorted_densities(mu_grid), dtype=float)
     infos = np.array([evaluate(mu) for mu in mus])
     feasible = np.isfinite(infos)
     if not feasible.any():
         raise InfeasibleEnergyError("no density satisfies the energy constraint")
     mus_f, infos_f = mus[feasible], infos[feasible]
 
-    maxima = []
-    for i in range(1, len(mus_f) - 1):
-        if infos_f[i] > infos_f[i - 1] and infos_f[i] >= infos_f[i + 1]:
-            maxima.append((float(mus_f[i]), float(infos_f[i])))
+    maxima = tuple((float(mus_f[i]), float(infos_f[i])) for i in range(1, len(mus_f) - 1)
+                   if infos_f[i] > infos_f[i - 1] and infos_f[i] >= infos_f[i + 1])
 
     mu_star, info_star = golden_section_max(evaluate, mus_f, infos_f, rel_tol=_DENSITY_REL_TOL)
     return DensityOptimum(
@@ -474,5 +444,5 @@ def optimal_density(
         info_star=info_star,
         mu_list=tuple(float(m) for m in mus_f),
         total_info=tuple(float(v) for v in infos_f),
-        local_maxima=tuple(maxima),
+        local_maxima=maxima,
     )

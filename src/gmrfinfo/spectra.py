@@ -266,5 +266,7 @@ def autocovariance(spec: SpectralDensity, h: tuple[int, ...], grid: int = 512) -
     """Autocovariance gamma_h = int f(w) exp(i h.w) dw by grid quadrature."""
     if len(h) != spec.dim:
         raise ValueError(f"offset {h} does not match spectrum dimension {spec.dim}")
+    if not all(isinstance(hk, (int, np.integer)) for hk in h):
+        raise ValueError(f"offset {h} must hold integers")
     tab = autocovariance_grid(spec, grid)
     return float(tab[tuple(hk % grid for hk in h)])

@@ -234,6 +234,25 @@ class TestDenseChecks:
         with pytest.raises(ValueError):
             logdet_convergence(SfcarModel(kappa=1.0, zeta=0.0), 1.0, [64])
 
+    def test_logdet_rejects_a_large_side_before_factorizing(self, monkeypatch):
+        calls = []
+        for name in ("_reflection_blocks", "_cholesky"):
+            original = getattr(gmrf_mc, name)
+            monkeypatch.setattr(gmrf_mc, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+        with pytest.raises(ValueError, match="^dense log-det limited to n <= 48, got 64$"):
+            logdet_convergence(sfcar_for_snr(1.0, 0.1), 1.0, [8, 16, 32, 48, 64])
+        assert calls == []
+
+    @pytest.mark.parametrize("seed,message", [(-1, "seed must be >= 0, got -1"),
+                                              (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_named_before_any_work(self, monkeypatch, seed, message):
+        monkeypatch.setattr(gmrf_mc, "_cholesky", lambda block: pytest.fail("factorized"))
+        model = sfcar_for_snr(1.0, 0.1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc_kli_estimate(model, 1.0, 8, 30, seed)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quadform_limit_check(model, 1.0, 8, 30, seed)
+
     def test_quadform_limits(self):
         check = quadform_limit_check(sfcar_for_snr(1.0, 0.1), 1.0, 16, 300, seed=1729)
         tol = 3 * check.dense.std_error + 0.1 / 16 * check.target

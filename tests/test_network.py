@@ -120,6 +120,19 @@ class TestReport:
         with pytest.raises(ValueError, match="measure must be 'kli' or 'mi', got 'bogus'"):
             network_report(BASE, "bogus")
 
+    @pytest.mark.parametrize("solve", [
+        lambda m: sweep_fixed_density(BASE, [], m),
+        lambda m: sweep_fixed_pernode_energy(BASE, [], m),
+        lambda m: sweep_spacing(BASE, [], m),
+        lambda m: sweep_infinite_density(4.0, [], m, 1.0, 1.0),
+        lambda m: sweep_energy_fixed_all(BASE, [], m),
+        lambda m: optimal_density(2.0, 50.0, 100.0, 1.0, 0.1, 2.0, m, mu_grid=[]),
+    ], ids=["fixed_density", "pernode_energy", "spacing", "infinite_density", "energy", "optimal_density"])
+    def test_every_solver_names_a_bad_measure_first(self, solve):
+        # the measure is checked before the (here empty) list
+        with pytest.raises(ValueError, match="^measure must be 'kli' or 'mi', got 'bogus'$"):
+            solve("bogus")
+
     def test_wide_spacing_mi_closed_form(self):
         cfg = NetworkConfig(n=8, dn=50.0, es=1.0, e0=1.0, nu=2.0, alpha=1.0, beta=1.0)
         rep = network_report(cfg, "mi")
@@ -345,6 +358,13 @@ class TestEnergySweep:
 class TestOptimalDensity:
     ARGS = dict(L=2.0, et=50.0, alpha=100.0, beta=1.0, e0=0.1, nu=2.0)
 
+    def test_bad_measure_named_even_when_no_density_is_feasible(self):
+        args = dict(self.ARGS, et=1e-9)
+        with pytest.raises(InfeasibleEnergyError):
+            optimal_density(**args, grid=8)
+        with pytest.raises(ValueError, match="^measure must be 'kli' or 'mi', got 'bogus'$"):
+            optimal_density(**args, measure="bogus", grid=8)
+
     def test_interior_maximum(self):
         res = optimal_density(**self.ARGS, mu_grid=np.logspace(0, 4, 201))
         assert res.info_star > res.total_info[0]
@@ -424,6 +444,17 @@ class TestFitLoglog:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_loglog([1.0, 2.0], [1.0, -1.0])
+
+    @pytest.mark.parametrize("drop", [-0.5, 1.0, 1.5, math.nan, math.inf])
+    def test_rejects_a_drop_share_outside_zero_to_one(self, drop):
+        with pytest.raises(ValueError, match=rf"^drop_smallest must lie in \[0, 1\), got {drop!r}$"):
+            fit_loglog([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], drop_smallest=drop)
+
+    def test_drop_share_bounds(self):
+        x = [1.0, 2.0, 4.0, 8.0]
+        y = [1.0, 3.0, 4.0, 8.0]  # the smallest point is off the line
+        assert fit_loglog(x, y, drop_smallest=0.0).r2 < 1.0
+        assert fit_loglog(x, y, drop_smallest=0.5).slope == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x,y", [([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, math.nan, 8.0]),

@@ -292,6 +292,16 @@ class TestAutocovariance:
         with pytest.raises(ValueError, match=f"grid must be >= 1, got {n}"):
             omega_grid(n)
 
+    @pytest.mark.parametrize("h", [(0.5, 0), (0, 1.0), (0, "1")])
+    def test_non_integer_offset_rejected(self, h):
+        with pytest.raises(ValueError) as info:
+            autocovariance(constant_spectrum(1.0), h, 64)
+        assert str(info.value) == f"offset {h} must hold integers"
+
+    def test_numpy_integer_offset_accepted(self):
+        spec = constant_spectrum(1.0)
+        assert autocovariance(spec, (np.int64(0), np.int32(0)), 64) == autocovariance(spec, (0, 0), 64)
+
     def test_grid_validation(self):
         spec = constant_spectrum(1.0)
         with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gmrfinfo._util import bisect, check_at_least, check_finite, golden_section_max
+from gmrfinfo import gmrf_mc, network
+from gmrfinfo._util import bisect, check_at_least, check_finite, golden_section_max, sorted_points
 from gmrfinfo.corrmap import PhysicalField, rho_from_spacing, rho_from_zeta, zeta_from_rho
-from gmrfinfo.gmrf_mc import dense_covariance, mc_kli_estimate
+from gmrfinfo.gmrf_mc import dense_covariance, logdet_convergence, mc_kli_estimate, toeplitz_circulant_gap
 from gmrfinfo.inforates import (
     kli_rate_general,
     kli_rate_sfcar,
@@ -21,7 +22,11 @@ from gmrfinfo.network import (
     hop_sum,
     hop_sum_closed,
     optimal_density,
+    sweep_energy_fixed_all,
+    sweep_fixed_density,
     sweep_fixed_pernode_energy,
+    sweep_infinite_density,
+    sweep_spacing,
 )
 from gmrfinfo.spectra import (
     InvalidModelError,
@@ -231,3 +236,64 @@ def test_integer_count_rejects_a_non_integer(site):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == message
+
+
+def test_sorted_points_checks_each_value_then_sorts():
+    seen = []
+    assert sorted_points((3, 1, 2), "sides", seen.append) == [1, 2, 3]
+    assert seen == [3, 1, 2]
+    with pytest.raises(ValueError, match="^sides must not be empty$"):
+        sorted_points(iter(()), "sides", seen.append)
+
+
+# every list input: the call, its name in the empty-list error, an unsorted list, and a list
+# whose last value is bad with the exact message it raises
+_DENSE = SfcarModel(1.0, 0.1)
+LIST_SITES = {
+    "sweep_fixed_density sides": (lambda v: sweep_fixed_density(_config(), v, grid=8), "sides",
+                                  [9, 3, 5], [3, 1], "n must be >= 2, got 1"),
+    "sweep_fixed_pernode_energy sides": (lambda v: sweep_fixed_pernode_energy(_config(), v, grid=8),
+                                         "sides", [9, 3, 5], [3, 1], "n must be >= 2, got 1"),
+    "sweep_spacing spacings": (lambda v: sweep_spacing(_config(es=10.0), v, grid=8), "spacings",
+                               [2.0, 0.5, 1.0], [1.0, 0.0], "spacing must be positive, got 0.0"),
+    "sweep_infinite_density densities": (lambda v: sweep_infinite_density(4.0, v, "kli", 1.0, 1.0, grid=8),
+                                         "densities", [1.0, 0.1, 10.0], [1.0, math.nan],
+                                         "densities must be finite and positive"),
+    "optimal_density densities": (lambda v: optimal_density(2.0, 50.0, 100.0, 1.0, 0.1, 2.0, mu_grid=v,
+                                                            grid=8),
+                                  "densities", [8.0, 1.0, 4.0, 2.0, 16.0], [1.0, 0.0],
+                                  "densities must be finite and positive"),
+    "sweep_energy_fixed_all budgets": (lambda v: sweep_energy_fixed_all(_config(n=21, dn=0.1, alpha=100.0,
+                                                                                e0=0.1), v, grid=8),
+                                       "budgets", [1e6, 1e4, 1e5], [1e4, math.inf],
+                                       "et must be finite, got inf"),
+    "logdet_convergence n_list": (lambda v: logdet_convergence(_DENSE, 1.0, v), "sides", [8, 4, 6],
+                                  [4, 49], "dense log-det limited to n <= 48, got 49"),
+    "toeplitz_circulant_gap n_list": (lambda v: toeplitz_circulant_gap(_DENSE, 1.0, v), "sides",
+                                      [8, 4, 6], [4, 33], "dense eigendecomposition limited to n <= 32, got 33"),
+}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts calls of the steps that do a list input's work: rates, zeta inversions,
+    bisections, dense assembly and factorization."""
+    calls = []
+    for module, name in [(network, "kli_rate_sfcar"), (network, "mi_rate_sfcar"), (network, "zeta_from_spacing"),
+                         (network, "bisect"), (gmrf_mc, "_reflection_blocks"), (gmrf_mc, "_cholesky")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("site", list(LIST_SITES))
+def test_list_input_contract(site, work):
+    call, name, unsorted, bad, message = LIST_SITES[site]
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+        call([])
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == message
+    assert work == []  # the bad last value is found before any work
+    assert call(unsorted) == call(sorted(unsorted))
+    assert work  # the counters do see the work of a valid list
