@@ -41,9 +41,9 @@ def check_at_least(minimum: float, **values: float) -> None:
 
 def check_integer(minimum: int, **values: int) -> None:
     """Raise ValueError naming the first keyword value that is not an integer (numpy integers
-    too) >= minimum."""
+    too, bool not) >= minimum."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValueError(f"{name} must be >= {minimum}, got {value}")

@@ -23,6 +23,7 @@ from .spectra import (
     SpectralDensity,
     SingularSpectrumError,
     _sample_grid,
+    _w2_closed_form,
     hidden_spectrum,
     omega_grid,
     sfcar_spectrum,
@@ -91,7 +92,7 @@ def circulant_eigs(spec: SpectralDensity, n: int) -> CirculantSpectrum:
     n-per-side lattice (the exact stationary torus model)."""
     check_integer(4, n=n)
     d = spec.dim
-    eigs = TWO_PI**d * _sample_grid(spec.evaluator, d, TWO_PI * np.arange(n) / n)
+    eigs = TWO_PI**d * _sample_grid(spec.evaluator, [TWO_PI * np.arange(n) / n] * d)
     if not np.all(np.isfinite(eigs)):
         raise SingularSpectrumError("spectrum is not finite at the DFT frequencies")
     if eigs.min() <= 0.0:
@@ -209,19 +210,6 @@ def mc_kli_estimate(
     return _report(np.concatenate([llr_per_node(y, sigma2, cs1) for y in chunks]), n, seed)
 
 
-def _w2_closed_form(zeta: float, c: float, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A, B and s = sqrt(A^2 - B^2) on the w1 nodes of omega_grid(_COV_GRID), where the
-    denominator c (1 - 2 zeta (cos w1 + cos w2)) + shift is A - B cos w2.  Along w2,
-    (1/2pi) int cos(h w2) / (A - B cos w2) dw2 = (B / (A + s))^|h| / s and
-    (1/2pi) int log(A - B cos w2) dw2 = log((A + s) / 2)."""
-    a = c * (1.0 - 2.0 * zeta * np.cos(omega_grid(_COV_GRID))) + shift
-    b = 2.0 * c * zeta
-    s = np.sqrt((a - b) * (a + b))
-    if not np.all(s > 0.0):
-        raise SingularSpectrumError("spectrum is not finite on the quadrature grid")
-    return a, b, s
-
-
 def _gamma_table(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     """The n x n table tab[h1, h2] = gamma[h1, h2] + sigma2 [h = (0, 0)] of the covariance
     sigma2 I + [gamma_{k-l}] at per-axis offsets |k - l| below n.  gamma takes the w2
@@ -230,7 +218,7 @@ def _gamma_table(model: SfcarModel, sigma2: float, n: int) -> np.ndarray:
     cancellation).  sigma2 = 0 gives the signal covariance alone."""
     check_integer(1, n=n)
     check_at_least(0, sigma2=sigma2)
-    a, b, s = _w2_closed_form(model.zeta, 1.0, 0.0)
+    a, b, s = _w2_closed_form(model.zeta, omega_grid(_COV_GRID), 1.0, 0.0)
     h = np.arange(n)
     tab = np.cos(np.outer(h, omega_grid(_COV_GRID))) @ ((b / (a + s))[:, None] ** h / s[:, None])
     tab = np.where(h[:, None] <= h, tab, tab.T) / (_COV_GRID * model.kappa)
@@ -314,8 +302,9 @@ def _hidden_limits(model: SfcarModel, sigma2: float) -> tuple[float, float]:
     the quadratic form, the mean of sigma2 / ((2 pi)^2 f1), with closed-form w2 means."""
     check_positive(sigma2=sigma2)
     t = model.kappa * sigma2  # (2 pi)^2 f1 = (A1 - B1 cos w2) / (kappa (A - B cos w2))
-    a, _, s = _w2_closed_form(model.zeta, 1.0, 0.0)
-    a1, _, s1 = _w2_closed_form(model.zeta, t, 1.0)
+    w1 = omega_grid(_COV_GRID)
+    a, _, s = _w2_closed_form(model.zeta, w1, 1.0, 0.0)
+    a1, _, s1 = _w2_closed_form(model.zeta, w1, t, 1.0)
     logdet = float(np.mean(np.log((a1 + s1) / (a + s)))) - math.log(model.kappa)
     # the w2 mean 1 - 1/s1, rearranged so that nothing cancels at high SNR
     quadform = float(np.mean(t * (t * s**2 + 2.0 * a) / (s1 * (s1 + 1.0))))

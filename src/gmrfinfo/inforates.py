@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ._util import check_at_least, check_positive, golden_section_max
 from .specfun import _agm, elliptic_k
-from .spectra import SpectralDensity, check_zeta, omega_grid
+from .spectra import SpectralDensity, _mirror_half, _sample_grid, _w2_closed_form, check_zeta, omega_grid
 
 __all__ = [
     "InfoRateResult",
@@ -60,46 +61,134 @@ class LowSnrConstants:
     c3_prime: float
 
 
-def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) of the hidden SFCAR from one pass over the folded grid.
+def _power_series(z: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """sum_k coef[k] z^k (coef positive and falling) by Horner's rule, through the first term
+    below 2^-60 coef[0] at the largest |z|."""
+    top, k = float(np.abs(z).max()), 1
+    while k < len(coef) and coef[k] * top**k >= 2.0**-60 * coef[0]:
+        k += 1
+    total = np.full_like(z, coef[k - 1])
+    for c in reversed(coef[: k - 1]):
+        total *= z
+        total += c
+    return total
 
-    Both integrands are functions of a = snr / (q (1 - 2 zeta (cos w1 + cos w2))):
-    MI = mean(log1p(a)) / 2 and KLI = mean(log1p(a) - a / (1 + a)) / 2, the means
-    taken over the grid^2 nodes of omega_grid(grid).  Node grid - i has the cosine
-    of node i, so only nodes i = 0..grid // 2 are evaluated, each weighted 2 when it
-    also stands for its mirror (1 at -pi and, for even grids, at 0); the weights
-    1, 2 and 4 are exact and the weighted sums are numpy's pairwise sums.
+
+# coefficients of 2 (atanh(u) - u) / (2 u^3) in u^2, and of (e^d - 1 - d) / d^2 in d
+_ATANH_COEF = tuple(1.0 / (2 * k + 3) for k in range(40))
+_EXPM1_COEF = tuple(1.0 / math.factorial(k + 2) for k in range(40))
+
+
+def _atanh_tail(u: np.ndarray) -> np.ndarray:
+    """2 (atanh(u) - u) = 2u^3 (1/3 + u^2/5 + u^4/7 + ...), for |u| <= 1/3."""
+    v = u * u
+    return 2.0 * u * v * _power_series(v, _ATANH_COEF)
+
+
+def _log1p_minus_x(z: np.ndarray, log1p_z: np.ndarray) -> np.ndarray:
+    """log1p(z) - z without cancellation, given log1p(z): with u = z / (2 + z),
+    log1p(z) = 2 atanh(u) and log1p(z) - z = 2 (atanh(u) - u) - z u, two terms <= 0 for z <= 0.
+    The series serves |u| <= 1/3 (-1/2 <= z <= 1); below, log1p_z - z cancels at most 3.6x."""
+    series = (z >= -0.5) & (z <= 1.0)
+    u = np.where(series, z / (2.0 + z), 0.0)
+    return np.where(series, _atanh_tail(u) - z * u, log1p_z - z)
+
+
+def _exp_tail(d: np.ndarray) -> np.ndarray:
+    """1 - e^-d (1 + d) for d >= 0 without cancellation: e^-d (d^2/2! + d^3/3! + ...) for
+    d <= 1, and the plain -expm1(-d) - d e^-d above (at most 2.4x cancelling)."""
+    series = d <= 1.0
+    small = np.where(series, d, 0.0)
+    tail = np.exp(-small) * small * small * _power_series(small, _EXPM1_COEF)
+    return np.where(series, tail, -np.expm1(-d) - d * np.exp(-d))
+
+
+def _sfcar_pass(snr: float, zeta: float, grid: int) -> tuple[float, Callable[[], float]]:
+    """MI of the hidden SFCAR and a function that finishes its KLI from the same pass.
+
+    The rates are the grid x grid rectangle-rule means of MI = log1p(a) / 2 and
+    KLI = (log1p(a) - a / (1 + a)) / 2 over the nodes of omega_grid(grid), with
+    a = snr / (q (1 - 2 zeta (cos w1 + cos w2))), taken in O(grid) operations.  Along w2,
+    q (1 + a) and q are A1 - B cos w2 and A - B cos w2 with A1 = A + snr, and
+    spectra._w2_closed_form gives the exact grid means of their logs and reciprocals; the
+    w1 nodes fold onto 0..grid // 2 with the weights of spectra._mirror_half.  Per w1 node,
+    with s0 and s1 the s of A and A1, 1 + x = (A1 + s1) / (A + s0), r1^N = r0^N / (1 + x)^N
+    and sigma = (-1)^N (N = grid):
+        2 MI  = log1p(x) + (2/N) log((1 - sigma r1^N) / (1 - sigma r0^N)),
+        2 KLI = 2 MI - snr (1 + sigma r1^N) / ((1 - sigma r1^N) s1).
+    Every near-equal difference is taken from snr: s1 - s0 = snr (A + A1) / (s0 + s1),
+    N log(r1 / r0) = -N log1p(x), and 1 - r^N = -expm1(N log r).  For x <= 1 the leading
+    KLI term log1p(x) - snr / s1 is the sum of log1p(x) - x / (1 + x) (an atanh series)
+    and x / (1 + x) - snr / s1 = snr^2 B^2 (A + A1) / ((s0 + s1) s1 (A1 + s1) (s1 A + A1 s0)),
+    both positive; the KLI's aliasing terms are summed the same way (see kli below).
     zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
     check_at_least(0, snr=snr)
     check_zeta(zeta)
     if snr == 0.0 or zeta == 0.25:
-        return 0.0, 0.0
-    q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    half = grid // 2 + 1
-    c = np.cos(omega_grid(grid)[:half])
-    w = np.full(half, 2.0)
-    w[0] = 1.0
-    if grid % 2 == 0:
-        w[-1] = 1.0
-    weights = np.outer(w, w)
-    a = snr / (q * (1.0 - 2.0 * zeta * (c[:, None] + c)))
-    h = np.log1p(a)
-    mi = 0.5 * (float((h * weights).sum()) / grid**2)  # halving is exact, so it can follow the mean
-    a /= 1.0 + a
-    h -= a
-    h *= weights
-    return 0.5 * (float(h.sum()) / grid**2), mi
+        return 0.0, lambda: 0.0
+    w1, weights = _mirror_half(grid)
+    snr_q = snr / ((2.0 / math.pi) * elliptic_k(4.0 * zeta))  # A, B and s in units of q
+    (a, a1), b, (s0, s1) = _w2_closed_form(zeta, w1, 1.0, np.array([[0.0], [snr_q]]))
+    s01 = s0 + s1
+    rise = snr_q * (1.0 + (a + a1) / s01)  # (A1 + s1) - (A + s0)
+    x = rise / (a + s0)
+    log_ratio = np.log1p(x)
+    # r0^N and r1^N are p = exp(t), t = (t0, t0 - delta) with delta = N log1p(x), and
+    # den = 1 - sigma r^N; den0 / den1 = 1 - y
+    sigma = -1.0 if grid % 2 else 1.0
+    with np.errstate(divide="ignore", over="ignore"):  # B = 0 (or tiny): r0 = 0 and t0 = -inf
+        t0 = -grid * np.log1p(s0 * (s0 + a + b) / ((a + b) * b))  # 1 / r0 = 1 + (A - B + s0) / B
+    delta = grid * log_ratio
+    t = np.array([t0, t0 - delta])
+    p0, p1 = p = np.exp(t)
+    den0, den1 = -np.expm1(t) if sigma > 0.0 else 1.0 + p
+    fall = -np.expm1(-delta)  # 1 - (r1 / r0)^N
+    log_den = -np.log1p(sigma * p0 * fall / den0)  # log(den0 / den1) = log1p(-y)
+    mi_nodes = log_ratio - (2.0 / grid) * log_den
+
+    def kli() -> float:
+        small = x <= 1.0
+        inv1 = snr_q / s1
+        if small.any():
+            tilt = snr_q * snr_q * (b * b) * (a + a1) / (s01 * s1 * (a1 + s1) * (s1 * a + a1 * s0))
+            # log1p(x) - x / (1 + x) = 2 atanh(u) - 2u / (1 + u) with u = x / (2 + x) <= 1/3
+            u = np.where(small, rise / (a + a1 + s01), 0.0)
+            lead = 2.0 * u * u / (1.0 + u) + _atanh_tail(u) + tilt
+            if not small.all():
+                lead = np.where(small, lead, log_ratio - inv1)
+        else:
+            lead = log_ratio - inv1
+        # The aliasing terms phi(l) = (2/N) log(1 - sigma e^l) of the w2 means, l = N log r, add
+        # phi(l1) - phi(l0) - snr d phi(l1) / dA to lead, which cancels like lead at small snr.
+        # As one Taylor remainder, from l1 to l0 = l1 + delta, the node's 2 KLI is
+        #   lead (1 + sigma r1^N) / den1 - (2/N) (log1p(-y) + y - sigma r0^N g(delta) / den1),
+        # g(d) = 1 - e^-d (1 + d) (_exp_tail).  Where N r0^N < 2^-60 it is lead to rounding.
+        near = np.flatnonzero(grid * p0 >= 2.0**-60)
+        if near.size:
+            q0, q1, d1, d = p0[near], p1[near], den1[near], delta[near]
+            y = sigma * q0 * fall[near] / d1
+            tail = _log1p_minus_x(-y, log_den[near]) - sigma * q0 * _exp_tail(d) / d1
+            lead[near] = lead[near] * (1.0 + sigma * q1) / d1 - (2.0 / grid) * tail
+        return 0.5 * (float((weights * lead).sum()) / grid)
+
+    return 0.5 * (float((weights * mi_nodes).sum()) / grid), kli
+
+
+def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
+    """(KLI, MI) of the hidden SFCAR from one pass (see _sfcar_pass)."""
+    mi, kli = _sfcar_pass(snr, zeta, grid)
+    return kli(), mi
 
 
 def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node KLI rate of the hidden SFCAR model [nats/node]; 0 at zeta = 1/4 and at snr = 0."""
-    return _sfcar_rates(snr, zeta, grid)[0]
+    return _sfcar_pass(snr, zeta, grid)[1]()
 
 
 def mi_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate of the hidden SFCAR model [nats/node]."""
-    return _sfcar_rates(snr, zeta, grid)[1]
+    return _sfcar_pass(snr, zeta, grid)[0]
 
 
 def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoRateResult:
@@ -116,32 +205,50 @@ def stein_kli(snr: float) -> float:
     return 0.5 * math.log1p(snr) - 0.5 * snr / (1.0 + snr)
 
 
-def _scaled_grid(f: SpectralDensity, sigma2: float, grid: int) -> np.ndarray:
-    """(2 pi)^d f / sigma^2 on the grid^d quadrature grid of the general rates (d <= 3)."""
+def _scaled_half_grid(f: SpectralDensity, sigma2: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2 pi)^d f / sigma^2 as a fresh array on the rows 0..grid // 2 of the leading axis of the
+    grid^d quadrature grid of the general rates (d <= 3), and those rows' weights.
+
+    f is even, f(-omega) = f(omega), and omega -> -omega maps row i of the grid onto row
+    grid - i (row 0, at -pi, onto itself), so a grid mean is the weighted mean of the rows
+    0..grid // 2 (see _rows_mean)."""
     check_positive(sigma2=sigma2)
     if f.dim > 3:
         raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
-    return (2.0 * math.pi) ** f.dim * f.grid_values(grid) / sigma2
+    rows, weights = _mirror_half(grid)
+    values = (2.0 * math.pi) ** f.dim * _sample_grid(f.evaluator, [rows] + [omega_grid(grid)] * (f.dim - 1))
+    values /= sigma2
+    return values, weights
+
+
+def _rows_mean(values: np.ndarray, weights: np.ndarray, grid: int) -> float:
+    """The grid^d mean of a function even in omega from its values on the weighted rows of
+    _scaled_half_grid: the row sums (numpy's pairwise sums) weighted and divided by grid^d."""
+    return float((weights * values.reshape(len(weights), -1).sum(axis=1)).sum()) / grid**values.ndim
 
 
 def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
-    """Per-node KLI rate for a general d-D alternative spectrum f1 (d <= 3).
+    """Per-node KLI rate for a general d-D alternative spectrum f1 (d <= 3), which must be even.
 
     (2 pi)^{-d} integral of the bin-wise Gaussian Kullback-Leibler divergence
     D(N(0, sigma^2) || N(0, (2 pi)^d f1)); nonnegative term by term.
     """
-    r = _scaled_grid(f1, sigma2, grid)
+    r, weights = _scaled_half_grid(f1, sigma2, grid)
     if not np.all(np.isfinite(r)) or r.min() <= 0.0:
         raise ValueError("alternative spectrum must be finite and strictly positive")
-    return float(np.mean(0.5 * np.log(r) - 0.5 * (1.0 - 1.0 / r)))
+    h = np.log(r)
+    np.reciprocal(r, out=r)
+    r -= 1.0
+    h += r  # log r - (1 - 1/r)
+    return 0.5 * _rows_mean(h, weights, grid)
 
 
 def mi_rate_general(f: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
-    """Per-node MI rate for a general d-D signal spectrum f (d <= 3)."""
-    a = _scaled_grid(f, sigma2, grid)
+    """Per-node MI rate for a general d-D signal spectrum f (d <= 3), which must be even."""
+    a, weights = _scaled_half_grid(f, sigma2, grid)
     if not np.all(np.isfinite(a)) or a.min() < 0.0:
         raise ValueError("signal spectrum must be finite and nonnegative")
-    return float(np.mean(0.5 * np.log1p(a)))
+    return 0.5 * _rows_mean(np.log1p(a, out=a), weights, grid)
 
 
 def low_snr_constants(zeta: float) -> LowSnrConstants:

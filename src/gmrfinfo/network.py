@@ -163,15 +163,18 @@ def _operating_point(snr: float, alpha: float, dn: float, measure: str, grid: in
     return zeta, _MEASURES[measure][0](snr, zeta, grid)
 
 
+def _report(cfg: NetworkConfig, zeta: float, rate: float) -> NetworkReport:
+    """The totals of configuration cfg at its operating point (zeta, per-node rate)."""
+    info = cfg.n**2 * rate
+    energy = total_energy(cfg)
+    return NetworkReport(n=cfg.n, dn=cfg.dn, snr=cfg.beta * cfg.es, zeta=zeta, per_node_info=rate,
+                         total_info=info, total_energy=energy, efficiency=info / energy)
+
+
 def network_report(cfg: NetworkConfig, measure: str = "kli", grid: int = DEFAULT_GRID) -> NetworkReport:
     """Evaluate one configuration: spacing -> zeta, es -> SNR, rate -> totals."""
     _check_measure(measure)
-    snr = cfg.beta * cfg.es
-    zeta, rate = _operating_point(snr, cfg.alpha, cfg.dn, measure, grid)
-    info = cfg.n**2 * rate
-    energy = total_energy(cfg)
-    return NetworkReport(n=cfg.n, dn=cfg.dn, snr=snr, zeta=zeta, per_node_info=rate, total_info=info,
-                         total_energy=energy, efficiency=info / energy)
+    return _report(cfg, *_operating_point(cfg.beta * cfg.es, cfg.alpha, cfg.dn, measure, grid))
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -222,8 +225,10 @@ def sweep_fixed_density(
     log(total energy) over the retained (largest) points.
     """
     _check_measure(measure)
-    reports = tuple(network_report(replace(cfg, n=n), measure, grid)
-                    for n in sorted_points(n_list, "sides", _check_side))
+    sides = sorted_points(n_list, "sides", _check_side)
+    # every side shares the spacing and SNR, so one operating point serves them all
+    point = _operating_point(cfg.beta * cfg.es, cfg.alpha, cfg.dn, measure, grid)
+    reports = tuple(_report(replace(cfg, n=n), *point) for n in sides)
     area = [r.n**2 * r.dn**2 for r in reports]
     return FixedDensitySweep(
         reports=reports,
@@ -370,8 +375,9 @@ def sweep_energy_fixed_all(
         raise InfeasibleEnergyError(
             f"total energy {ets[0]:.6g} J is below the communication floor {comm:.6g} J"
         )
-    infos = [network_report(replace(cfg, es=(et - comm) / cfg.n**2), measure, grid).total_info
-             for et in ets]
+    zeta = zeta_from_spacing(PhysicalField(cfg.alpha), cfg.dn)  # one spacing for every budget
+    rate = _MEASURES[measure][0]
+    infos = [cfg.n**2 * rate(cfg.beta * ((et - comm) / cfg.n**2), zeta, grid) for et in ets]
     increments = tuple(b - a for a, b in zip(infos, infos[1:]))
     return EnergySweep(et_list=tuple(ets), total_info=tuple(infos), increments=increments)
 

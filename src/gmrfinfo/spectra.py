@@ -100,7 +100,9 @@ class SpectralDensity:
 
     ``evaluator`` must accept broadcastable ndarray arguments, one per
     coordinate, and return nonnegative values (an infinite sentinel is allowed
-    at isolated singular points, e.g. the SFCAR origin at zeta = 1/4).
+    at isolated singular points, e.g. the SFCAR origin at zeta = 1/4).  The
+    spectrum of a real stationary field is even, f(-omega) = f(omega), and the
+    general rates rely on it: they sample only half of the grid.
     """
 
     evaluator: Callable[..., np.ndarray]
@@ -112,14 +114,15 @@ class SpectralDensity:
 
     def grid_values(self, n: int) -> np.ndarray:
         """Sample f on the uniform n^d grid omega_i = -pi + 2*pi*i/n (read-only, see _sample_grid)."""
-        return _sample_grid(self.evaluator, self.dim, omega_grid(n))
+        return _sample_grid(self.evaluator, [omega_grid(n)] * self.dim)
 
 
-def _sample_grid(evaluator: Callable[..., np.ndarray], dim: int, nodes: np.ndarray) -> np.ndarray:
-    """``evaluator`` called on open (sparse) axes of the grid nodes^dim, so no coordinate mesh is
-    built, and broadcast to a read-only float array of shape (len(nodes),) * dim."""
-    axes = np.meshgrid(*[nodes] * dim, indexing="ij", sparse=True)
-    return np.broadcast_to(np.asarray(evaluator(*axes), dtype=float), (len(nodes),) * dim)
+def _sample_grid(evaluator: Callable[..., np.ndarray], nodes: list[np.ndarray]) -> np.ndarray:
+    """``evaluator`` called on open (sparse) axes of the product grid with node array nodes[k] on
+    axis k, so no coordinate mesh is built, and broadcast to a read-only float array of shape
+    (len(nodes[0]), len(nodes[1]), ...)."""
+    axes = np.meshgrid(*nodes, indexing="ij", sparse=True)
+    return np.broadcast_to(np.asarray(evaluator(*axes), dtype=float), tuple(len(a) for a in nodes))
 
 
 def check_zeta(zeta: float) -> None:
@@ -133,6 +136,41 @@ def omega_grid(n: int) -> np.ndarray:
     check_at_least(1, grid=n)
     check_integer(1, grid=n)
     return -math.pi + TWO_PI * np.arange(n) / n
+
+
+def _mirror_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes 0..n // 2 of omega_grid(n) and their exact weights in a mean over all n nodes.
+
+    Node n - i is the mirror image -omega of node i, so a sum over a function even in omega
+    takes node i twice, except node 0 (-pi, its own mirror) and, for even n, node n // 2 (0)."""
+    nodes = omega_grid(n)[: n // 2 + 1]
+    weights = np.full(len(nodes), 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return nodes, weights
+
+
+def _w2_closed_form(zeta: float, w1: np.ndarray, scale: float | np.ndarray, shift: float | np.ndarray
+                    ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+    """A, B and s = sqrt(A^2 - B^2) at the nodes w1, where the SFCAR denominator
+    scale (1 - 2 zeta (cos w1 + cos w2)) + shift is A - B cos w2 (scale > 0, shift >= 0).
+
+    Along w2, (1/2pi) int log(A - B cos w2) dw2 = log((A + s) / 2) and
+    (1/2pi) int cos(h w2) / (A - B cos w2) dw2 = r^|h| / s with r = B / (A + s); the
+    N-node rectangle rule from -pi adds (2/N) log(1 - (-1)^N r^N) to the first, by
+    prod_j (1 - 2 r cos(w + 2 pi j / N) + r^2) = 1 - 2 r^N cos(N w) + r^(2N).
+    With t = 4 zeta sin^2(w1 / 2) = 2 zeta (1 - cos w1), A = scale ((1 - 2 zeta) + t) + shift,
+    A - B = scale ((1 - 4 zeta) + t) + shift and A + B = scale (1 + t) + shift are sums of
+    nonnegative terms, so s keeps full relative accuracy next to zeta = 1/4.  scale and shift
+    may be arrays that broadcast against w1, for several denominators at once."""
+    t = 4.0 * zeta * np.sin(0.5 * w1) ** 2
+    a = scale * ((1.0 - 2.0 * zeta) + t) + shift
+    # a product of square roots, since the product (A - B)(A + B) overflows where A nears 1e154
+    s = np.sqrt(scale * ((1.0 - 4.0 * zeta) + t) + shift) * np.sqrt(scale * (1.0 + t) + shift)
+    if not np.all(s > 0.0):
+        raise SingularSpectrumError("spectrum is not finite on the quadrature grid")
+    return a, 2.0 * scale * zeta, s
 
 
 def car_spectrum(model: CarModel) -> SpectralDensity:
@@ -161,7 +199,7 @@ def car_spectrum(model: CarModel) -> SpectralDensity:
         n *= 2
     while n <= _CAR_GRID_MAX:
         nodes, h = omega_grid(n), math.pi / n
-        denom = _sample_grid(cosine_sum, 2, nodes)
+        denom = _sample_grid(cosine_sum, [nodes, nodes])
         if denom.min() <= 0.0:
             raise InvalidModelError(
                 f"CAR denominator is not positive on the {n} x {n} grid "
@@ -169,7 +207,7 @@ def car_spectrum(model: CarModel) -> SpectralDensity:
             )
         bound = denom - h * h * curvature
         for axis in (0, 1):
-            bound -= h * np.abs(_sample_grid(partial(axis), 2, nodes))
+            bound -= h * np.abs(_sample_grid(partial(axis), [nodes, nodes]))
         if bound.min() > 0.0:
             return SpectralDensity(lambda w1, w2: 1.0 / (4.0 * math.pi**2 * cosine_sum(w1, w2)),
                                    dim=2, form="car")

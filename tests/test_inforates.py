@@ -1,6 +1,7 @@
 """Information-rate integrals: closed-form reductions, route consistency,
 small/large SNR laws, ordering, and the optimal edge dependence."""
 
+import functools
 import math
 import tracemalloc
 
@@ -22,7 +23,8 @@ from gmrfinfo.inforates import (
     stein_kli,
 )
 from gmrfinfo.specfun import elliptic_k
-from gmrfinfo.spectra import constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr, sfcar_spectrum
+from gmrfinfo.spectra import (SpectralDensity, constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr,
+                              sfcar_spectrum)
 
 FOUR_PI2 = 4.0 * math.pi**2
 
@@ -40,15 +42,71 @@ def c3_grid(zeta: float, grid: int = 2048) -> float:
     return FOUR_PI2 * total / grid**2 / (64.0 * big_k**2)
 
 
+mpmath.mp.dps = 40
+
+
+@functools.lru_cache(maxsize=None)
+def mp_cosines(grid: int) -> tuple:
+    """cos w at the nodes 0..grid // 2 of omega_grid(grid), at 40 digits, and their weights in a
+    mean over all grid nodes (node grid - i has the cosine of node i)."""
+    cos = tuple(mpmath.cos(-mpmath.pi + 2 * mpmath.pi * i / grid) for i in range(grid // 2 + 1))
+    weights = [2] * len(cos)
+    weights[0] = 1
+    if grid % 2 == 0:
+        weights[-1] = 1
+    return cos, tuple(weights)
+
+
+def mp_direct_rule(snr: float, zeta: float, grid: int) -> tuple:
+    """(KLI, MI) of the SFCAR grid rule at 40 digits by its direct 2-D sum: the means of
+    log1p(a) / 2 and (log1p(a) - a / (1 + a)) / 2, a = snr / (q (1 - 2 zeta (cos w1 + cos w2))),
+    over the grid^2 nodes (the cosines' mirror pairs folded exactly)."""
+    snr, zeta = mpmath.mpf(snr), mpmath.mpf(zeta)
+    q = 2 / mpmath.pi * mpmath.ellipk(16 * zeta**2)
+    cos, weights = mp_cosines(grid)
+    kli = mi = mpmath.mpf(0)
+    for i, (ci, wi) in enumerate(zip(cos, weights)):
+        for j in range(i, len(cos)):
+            a = snr / (q * (1 - 2 * zeta * (ci + cos[j])))
+            h = mpmath.log1p(a)
+            w = wi * weights[j] * (1 if i == j else 2)
+            mi += w * h
+            kli += w * (h - a / (1 + a))
+    return kli / (2 * grid**2), mi / (2 * grid**2)
+
+
+def mp_product_rule(snr: float, zeta: float, grid: int) -> tuple:
+    """mp_direct_rule with each w1 row's w2 mean in closed form, by the product identity
+    prod_j (1 - 2 r cos(-pi + 2 pi j / N) + r^2) = (1 - (-1)^N r^N)^2: with A - B cos w2 the
+    denominator, s = sqrt(A^2 - B^2) and r = B / (A + s), the row's mean of log(A - B cos w2) is
+    log((A + s) / 2) + (2/N) log(1 - (-1)^N r^N), and its A-derivative is the mean of the reciprocal."""
+    snr, zeta = mpmath.mpf(snr), mpmath.mpf(zeta)
+    q = 2 / mpmath.pi * mpmath.ellipk(16 * zeta**2)
+    b, sign = 2 * zeta * q, (-1) ** grid
+    cos, weights = mp_cosines(grid)
+
+    def row(a):  # (mean log, mean reciprocal) over the w2 nodes
+        s = mpmath.sqrt(a * a - b * b)
+        rn = (b / (a + s)) ** grid
+        return (mpmath.log((a + s) / 2) + mpmath.mpf(2) / grid * mpmath.log(1 - sign * rn),
+                (1 + sign * rn) / ((1 - sign * rn) * s))
+
+    kli = mi = mpmath.mpf(0)
+    for c, w in zip(cos, weights):
+        a = q * (1 - 2 * zeta * c)
+        (log0, _), (log1, inv1) = row(a), row(a + snr)
+        mi += w * (log1 - log0)
+        kli += w * (log1 - log0 - snr * inv1)
+    return kli / (2 * grid), mi / (2 * grid)
+
+
 def reference_sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) as means over all grid^2 nodes, halving the arrays first: the unfolded rule."""
+    """(KLI, MI) of the grid rule at 40 digits, rounded: the direct sum up to grid 65, the
+    product identity above."""
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
-    q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-    c = np.cos(omega_grid(grid))
-    a = snr / (q * (1.0 - 2.0 * zeta * (c[:, None] + c[None, :])))
-    h = 0.5 * np.log1p(a)
-    return float(np.mean(h - 0.5 * a / (1.0 + a))), float(np.mean(h))
+    rule = mp_direct_rule if grid <= 65 else mp_product_rule
+    return tuple(float(v) for v in rule(snr, zeta, grid))
 
 
 class TestStein:
@@ -159,44 +217,57 @@ class TestSinglePass:
 
     @staticmethod
     def assert_agrees(snr, zeta, grid, slack=0.0):
-        # the folded sums reorder the full grid's terms: MI within 2e-15 relative, and KLI
-        # within 2e-15 of MI, since the KLI integrand cancels like a^2 / 2 at small snr
+        # against the 40-digit rule: MI within 1e-15 relative, and KLI within 1e-15 of MI,
+        # since the KLI integrand cancels like a^2 / 2 at small snr
         kli, mi = _sfcar_rates(snr, zeta, grid)
         kli_ref, mi_ref = reference_sfcar_rates(snr, zeta, grid)
-        assert abs(mi - mi_ref) <= 2e-15 * mi_ref + slack, (snr, zeta, grid)
-        assert abs(kli - kli_ref) <= 2e-15 * mi_ref + slack, (snr, zeta, grid)
+        assert abs(mi - mi_ref) <= 1e-15 * mi_ref + slack, (snr, zeta, grid)
+        assert abs(kli - kli_ref) <= 1e-15 * mi_ref + slack, (snr, zeta, grid)
 
     @staticmethod
     def cosine_rounding_slack(snr, zeta, grid):
         """First-order change of the MI mean when each cosine moves by 2 ulps of 1.
 
-        The full grid rounds the cosines of node i and its mirror grid - i apart, and the
-        denominator d = 1 - 2 zeta (cos w1 + cos w2) cancels near zeta = 1/4, so either
-        sum may move by about mean(a / (1 + a) * 2 zeta * 4 eps / d) / 2 there (the KLI
-        integrand is less sensitive).  Against a 40-digit rectangle rule, the worst case
-        found (grid 67, zeta = 1/4 - 4.2e-13) was the full grid's, off by 1.9e-14 of MI.
+        The kernel's w1 nodes are omega_grid's rounded ones, and the denominator
+        d = 1 - 2 zeta (cos w1 + cos w2) cancels near zeta = 1/4 and amplifies their rounding,
+        so the rates may move by about mean(a / (1 + a) * 2 zeta * 4 eps / d) / 2 there (the
+        KLI integrand is less sensitive).  The worst case found was 2.5e-15 of MI at grid 1024,
+        snr 1e-6 and zeta = 0.249999, where this slack is 9e-12 of MI; with the nodes' sines
+        and cosines rounded from their exact values instead, the kernel is 2.1e-16 off.
         """
         if snr == 0.0 or zeta == 0.25:
             return 0.0
         q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-        c = np.cos(omega_grid(grid))
+        cos, weights = mp_cosines(grid)  # the mean over the folded grid
+        c, w = np.array(cos, dtype=float), np.array(weights, dtype=float)
         d = 1.0 - 2.0 * zeta * (c[:, None] + c[None, :])
         a = snr / (q * d)
-        return float(np.mean(a / (1.0 + a) * 4.0 * zeta * np.finfo(float).eps / d))
+        return float(np.sum(np.outer(w, w) * a / (1.0 + a) * 4.0 * zeta * np.finfo(float).eps / d)) / grid**2
 
-    @pytest.mark.parametrize("grid", [1, 2])
-    def test_bitwise_equal_to_reference(self, grid):
-        # grids 1 and 2 have no mirrored nodes, so the fold sums the full grid's terms in order
-        for snr in self.snrs(grid):
-            for zeta in self.ZETAS:
-                assert _sfcar_rates(snr, zeta, grid) == reference_sfcar_rates(snr, zeta, grid), (snr, zeta)
+    @pytest.mark.parametrize("grid", range(1, 9))
+    def test_product_identity_is_the_direct_rule(self, grid):
+        # the identity that both the kernel and the grid-512 and grid-1024 references rest on
+        for snr, zeta in [(1.0, 0.1), (1e-3, 0.24), (10.0, 0.25 - 1e-9), (1e5, 0.0)]:
+            direct, product = mp_direct_rule(snr, zeta, grid), mp_product_rule(snr, zeta, grid)
+            for d, p in zip(direct, product):
+                assert abs(d - p) <= mpmath.mpf(10) ** -30 * direct[1]
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 7, 16, 33, 64, 65, 512, 1024])
     def test_agrees_with_full_grid(self, grid):
-        # snr = 0 and zeta = 1/4 are among the cases, where MI = 0 makes the bounds bitwise
+        # snr = 0 and zeta = 1/4 are among the cases, where MI = 0 makes the bounds exact
         for snr in [*self.snrs(grid), 0.008]:
             for zeta in self.ZETAS:
-                self.assert_agrees(snr, zeta, grid)
+                self.assert_agrees(snr, zeta, grid, self.cosine_rounding_slack(snr, zeta, grid))
+
+    @pytest.mark.parametrize("grid", [1, 3, 7, 16])
+    def test_small_snr_kli_keeps_relative_accuracy(self, grid):
+        # the aliasing terms of the KLI cancel like its leading term at small snr, so they are
+        # summed as a Taylor remainder; the 2-D pass lost up to 2e-9 of the KLI here
+        for snr in (1e-6, 1e-4):
+            for zeta in (0.1, 0.2, 0.2499, 0.25 - 1e-8):
+                kli_ref = reference_sfcar_rates(snr, zeta, grid)[0]
+                kli = _sfcar_rates(snr, zeta, grid)[0]
+                assert kli == pytest.approx(kli_ref, rel=1e-14, abs=0.0), (snr, zeta)
 
     @settings(max_examples=300, deadline=None)
     @given(grid=st.integers(min_value=1, max_value=129),
@@ -208,16 +279,17 @@ class TestSinglePass:
         self.assert_agrees(snr, zeta, grid, self.cosine_rounding_slack(snr, zeta, grid))
 
     def test_keeps_no_memory(self):
+        # the pass is one-dimensional: a 2-D grid pass at 4096 allocates about 34 MB
         _sfcar_rates(10.0, 0.2, 8)  # numpy's first-call set-up stays outside the traced call
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _sfcar_rates(10.0, 0.2, 1024)
+            _sfcar_rates(1.0, 0.2, 4096)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert after - before < 2**16  # the 2 MiB folded-grid arrays are all freed
-        assert peak - before < 10 * 2**20  # four folded-grid arrays at most
+        assert after - before < 2**16
+        assert peak - before < 2**20
 
 
 class TestGeneralRates:
@@ -262,8 +334,6 @@ class TestGeneralRates:
     def test_dimension_consistency_for_separable_spectrum(self):
         # a 2-D spectrum flat along the second coordinate carries the same
         # per-node information as the corresponding 1-D spectrum
-        from gmrfinfo.spectra import SpectralDensity
-
         def g(w):
             return (2.0 + np.cos(w)) / (2.0 * math.pi)
 
@@ -273,6 +343,22 @@ class TestGeneralRates:
             kli_rate_general(f1d, 1.0, 256), rel=1e-12)
         assert mi_rate_general(f2d, 1.0, 256) == pytest.approx(
             mi_rate_general(f1d, 1.0, 256), rel=1e-12)
+
+    # even, f(-w) = f(w), but not mirror-symmetric in any one axis
+    SKEWED = {1: lambda w1: 2.0 + np.cos(w1),
+              2: lambda w1, w2: 2.0 + np.cos(w1 + 2.0 * w2),
+              3: lambda w1, w2, w3: 2.0 + np.cos(w1 + 2.0 * w2 - w3)}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [7, 8, 33, 64])
+    def test_half_grid_is_the_full_grid_mean(self, dim, grid):
+        # (2 pi)^d f = 2 + cos(...), sampled on all grid^d nodes for the reference
+        spec = SpectralDensity(lambda *w: self.SKEWED[dim](*w) / (2.0 * math.pi) ** dim, dim=dim)
+        r = (2.0 * math.pi) ** dim * spec.grid_values(grid) / 0.7
+        kli = float(np.mean(0.5 * np.log(r) - 0.5 * (1.0 - 1.0 / r)))
+        mi = float(np.mean(0.5 * np.log1p(r)))
+        assert kli_rate_general(spec, 0.7, grid) == pytest.approx(kli, rel=1e-14, abs=0.0)
+        assert mi_rate_general(spec, 0.7, grid) == pytest.approx(mi, rel=1e-14, abs=0.0)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

@@ -61,9 +61,9 @@ def certifying_grid(monkeypatch, model):
     """car_spectrum(model) and the side of the largest grid it sampled."""
     sides = []
 
-    def spy(evaluator, dim, nodes):
-        sides.append(len(nodes))
-        return _sample_grid(evaluator, dim, nodes)
+    def spy(evaluator, nodes):
+        sides.append(len(nodes[0]))
+        return _sample_grid(evaluator, nodes)
 
     monkeypatch.setattr(spectra, "_sample_grid", spy)
     return car_spectrum(model), max(sides, default=None)

@@ -271,6 +271,8 @@ LIST_SITES = {
                                   [4, 49], "dense log-det limited to n <= 48, got 49"),
     "toeplitz_circulant_gap n_list": (lambda v: toeplitz_circulant_gap(_DENSE, 1.0, v), "sides",
                                       [8, 4, 6], [4, 33], "dense eigendecomposition limited to n <= 32, got 33"),
+    "toeplitz_circulant_gap bool side": (lambda v: toeplitz_circulant_gap(_DENSE, 1.0, v), "sides",
+                                         [8, 4, 6], [4, True], "n must be an integer, got True"),
 }
 
 
