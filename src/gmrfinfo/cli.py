@@ -100,7 +100,7 @@ def _mu_grid(args) -> np.ndarray:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                        help=f"quadrature side count (default {DEFAULT_GRID})")
+                        help=f"quadrature node count along w1 (default {DEFAULT_GRID})")
     parser.add_argument("--output", type=str, default=None, help="CSV output path")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags win")

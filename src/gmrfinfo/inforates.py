@@ -38,13 +38,16 @@ DEFAULT_GRID = 512
 _ZETA_SCAN_POINTS = 101
 _ZETA_TOL = 1e-6
 
+# rows of the leading axis that the general rates sample at once: about 256 KiB of values
+_SLAB_BYTES = 2**18
+
 
 @dataclass(frozen=True)
 class InfoRateResult:
     """Per-node KLI and MI rates [nats/node] with a self-convergence error bar.
 
     ``quad_error_estimate`` is the largest gap between the rates evaluated at
-    ``grid`` and at ``2 * grid`` points per dimension.
+    ``grid`` and at ``2 * grid`` w1 nodes.
     """
 
     kli: float
@@ -74,121 +77,56 @@ def _power_series(z: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
     return total
 
 
-# coefficients of 2 (atanh(u) - u) / (2 u^3) in u^2, and of (e^d - 1 - d) / d^2 in d
+# coefficients of 2 (atanh(u) - u) / (2 u^3) in u^2
 _ATANH_COEF = tuple(1.0 / (2 * k + 3) for k in range(40))
-_EXPM1_COEF = tuple(1.0 / math.factorial(k + 2) for k in range(40))
 
 
-def _atanh_tail(u: np.ndarray) -> np.ndarray:
-    """2 (atanh(u) - u) = 2u^3 (1/3 + u^2/5 + u^4/7 + ...), for |u| <= 1/3."""
-    v = u * u
-    return 2.0 * u * v * _power_series(v, _ATANH_COEF)
+def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
+    """(KLI, MI) of the hidden SFCAR: the grid-node rectangle-rule means over w1 of the exact
+    w2 integrals of MI = log1p(a) / 2 and KLI = (log1p(a) - a / (1 + a)) / 2, with
+    a = snr / (q (1 - 2 zeta (cos w1 + cos w2))).
 
-
-def _log1p_minus_x(z: np.ndarray, log1p_z: np.ndarray) -> np.ndarray:
-    """log1p(z) - z without cancellation, given log1p(z): with u = z / (2 + z),
-    log1p(z) = 2 atanh(u) and log1p(z) - z = 2 (atanh(u) - u) - z u, two terms <= 0 for z <= 0.
-    The series serves |u| <= 1/3 (-1/2 <= z <= 1); below, log1p_z - z cancels at most 3.6x."""
-    series = (z >= -0.5) & (z <= 1.0)
-    u = np.where(series, z / (2.0 + z), 0.0)
-    return np.where(series, _atanh_tail(u) - z * u, log1p_z - z)
-
-
-def _exp_tail(d: np.ndarray) -> np.ndarray:
-    """1 - e^-d (1 + d) for d >= 0 without cancellation: e^-d (d^2/2! + d^3/3! + ...) for
-    d <= 1, and the plain -expm1(-d) - d e^-d above (at most 2.4x cancelling)."""
-    series = d <= 1.0
-    small = np.where(series, d, 0.0)
-    tail = np.exp(-small) * small * small * _power_series(small, _EXPM1_COEF)
-    return np.where(series, tail, -np.expm1(-d) - d * np.exp(-d))
-
-
-def _sfcar_pass(snr: float, zeta: float, grid: int) -> tuple[float, Callable[[], float]]:
-    """MI of the hidden SFCAR and a function that finishes its KLI from the same pass.
-
-    The rates are the grid x grid rectangle-rule means of MI = log1p(a) / 2 and
-    KLI = (log1p(a) - a / (1 + a)) / 2 over the nodes of omega_grid(grid), with
-    a = snr / (q (1 - 2 zeta (cos w1 + cos w2))), taken in O(grid) operations.  Along w2,
-    q (1 + a) and q are A1 - B cos w2 and A - B cos w2 with A1 = A + snr, and
-    spectra._w2_closed_form gives the exact grid means of their logs and reciprocals; the
-    w1 nodes fold onto 0..grid // 2 with the weights of spectra._mirror_half.  Per w1 node,
-    with s0 and s1 the s of A and A1, 1 + x = (A1 + s1) / (A + s0), r1^N = r0^N / (1 + x)^N
-    and sigma = (-1)^N (N = grid):
-        2 MI  = log1p(x) + (2/N) log((1 - sigma r1^N) / (1 - sigma r0^N)),
-        2 KLI = 2 MI - snr (1 + sigma r1^N) / ((1 - sigma r1^N) s1).
-    Every near-equal difference is taken from snr: s1 - s0 = snr (A + A1) / (s0 + s1),
-    N log(r1 / r0) = -N log1p(x), and 1 - r^N = -expm1(N log r).  For x <= 1 the leading
-    KLI term log1p(x) - snr / s1 is the sum of log1p(x) - x / (1 + x) (an atanh series)
-    and x / (1 + x) - snr / s1 = snr^2 B^2 (A + A1) / ((s0 + s1) s1 (A1 + s1) (s1 A + A1 s0)),
-    both positive; the KLI's aliasing terms are summed the same way (see kli below).
-    zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
+    Along w2, q (1 + a) and q are A1 - B cos w2 and A - B cos w2 with A1 = A + snr, and
+    spectra._w2_closed_form gives the exact w2 means of their logs and reciprocals; the w1
+    nodes of omega_grid(grid) fold onto 0..grid // 2 with the weights of spectra._mirror_half.
+    Per w1 node, with s0 and s1 the s of A and A1 and 1 + x = (A1 + s1) / (A + s0),
+        2 MI = log1p(x),    2 KLI = log1p(x) - snr / s1.
+    Every near-equal difference is taken from snr: s1 - s0 = snr (A + A1) / (s0 + s1).  For
+    x <= 1 the KLI term is the sum of log1p(x) - x / (1 + x) (an atanh series) and
+    x / (1 + x) - snr / s1 = snr^2 B^2 (A + A1) / ((s0 + s1) s1 (A1 + s1) (s1 A + A1 s0)),
+    both positive.  zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
     """
     check_at_least(0, snr=snr)
     check_zeta(zeta)
     if snr == 0.0 or zeta == 0.25:
-        return 0.0, lambda: 0.0
+        return 0.0, 0.0
     w1, weights = _mirror_half(grid)
     snr_q = snr / ((2.0 / math.pi) * elliptic_k(4.0 * zeta))  # A, B and s in units of q
     (a, a1), b, (s0, s1) = _w2_closed_form(zeta, w1, 1.0, np.array([[0.0], [snr_q]]))
     s01 = s0 + s1
     rise = snr_q * (1.0 + (a + a1) / s01)  # (A1 + s1) - (A + s0)
     x = rise / (a + s0)
-    log_ratio = np.log1p(x)
-    # r0^N and r1^N are p = exp(t), t = (t0, t0 - delta) with delta = N log1p(x), and
-    # den = 1 - sigma r^N; den0 / den1 = 1 - y
-    sigma = -1.0 if grid % 2 else 1.0
-    with np.errstate(divide="ignore", over="ignore"):  # B = 0 (or tiny): r0 = 0 and t0 = -inf
-        t0 = -grid * np.log1p(s0 * (s0 + a + b) / ((a + b) * b))  # 1 / r0 = 1 + (A - B + s0) / B
-    delta = grid * log_ratio
-    t = np.array([t0, t0 - delta])
-    p0, p1 = p = np.exp(t)
-    den0, den1 = -np.expm1(t) if sigma > 0.0 else 1.0 + p
-    fall = -np.expm1(-delta)  # 1 - (r1 / r0)^N
-    log_den = -np.log1p(sigma * p0 * fall / den0)  # log(den0 / den1) = log1p(-y)
-    mi_nodes = log_ratio - (2.0 / grid) * log_den
-
-    def kli() -> float:
-        small = x <= 1.0
-        inv1 = snr_q / s1
-        if small.any():
-            tilt = snr_q * snr_q * (b * b) * (a + a1) / (s01 * s1 * (a1 + s1) * (s1 * a + a1 * s0))
-            # log1p(x) - x / (1 + x) = 2 atanh(u) - 2u / (1 + u) with u = x / (2 + x) <= 1/3
-            u = np.where(small, rise / (a + a1 + s01), 0.0)
-            lead = 2.0 * u * u / (1.0 + u) + _atanh_tail(u) + tilt
-            if not small.all():
-                lead = np.where(small, lead, log_ratio - inv1)
-        else:
-            lead = log_ratio - inv1
-        # The aliasing terms phi(l) = (2/N) log(1 - sigma e^l) of the w2 means, l = N log r, add
-        # phi(l1) - phi(l0) - snr d phi(l1) / dA to lead, which cancels like lead at small snr.
-        # As one Taylor remainder, from l1 to l0 = l1 + delta, the node's 2 KLI is
-        #   lead (1 + sigma r1^N) / den1 - (2/N) (log1p(-y) + y - sigma r0^N g(delta) / den1),
-        # g(d) = 1 - e^-d (1 + d) (_exp_tail).  Where N r0^N < 2^-60 it is lead to rounding.
-        near = np.flatnonzero(grid * p0 >= 2.0**-60)
-        if near.size:
-            q0, q1, d1, d = p0[near], p1[near], den1[near], delta[near]
-            y = sigma * q0 * fall[near] / d1
-            tail = _log1p_minus_x(-y, log_den[near]) - sigma * q0 * _exp_tail(d) / d1
-            lead[near] = lead[near] * (1.0 + sigma * q1) / d1 - (2.0 / grid) * tail
-        return 0.5 * (float((weights * lead).sum()) / grid)
-
-    return 0.5 * (float((weights * mi_nodes).sum()) / grid), kli
-
-
-def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) of the hidden SFCAR from one pass (see _sfcar_pass)."""
-    mi, kli = _sfcar_pass(snr, zeta, grid)
-    return kli(), mi
+    mi = np.log1p(x)
+    kli = mi - snr_q / s1
+    small = x <= 1.0
+    if small.any():
+        tilt = snr_q * snr_q * (b * b) * (a + a1) / (s01 * s1 * (a1 + s1) * (s1 * a + a1 * s0))
+        # log1p(x) - x / (1 + x) = 2 atanh(u) - 2u / (1 + u) with u = x / (2 + x) <= 1/3
+        u = np.where(small, rise / (a + a1 + s01), 0.0)
+        v = u * u
+        lead = 2.0 * v / (1.0 + u) + 2.0 * u * v * _power_series(v, _ATANH_COEF) + tilt
+        kli = np.where(small, lead, kli)
+    return 0.5 * (float((weights * kli).sum()) / grid), 0.5 * (float((weights * mi).sum()) / grid)
 
 
 def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node KLI rate of the hidden SFCAR model [nats/node]; 0 at zeta = 1/4 and at snr = 0."""
-    return _sfcar_pass(snr, zeta, grid)[1]()
+    return _sfcar_rates(snr, zeta, grid)[0]
 
 
 def mi_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate of the hidden SFCAR model [nats/node]."""
-    return _sfcar_pass(snr, zeta, grid)[0]
+    return _sfcar_rates(snr, zeta, grid)[1]
 
 
 def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoRateResult:
@@ -205,26 +143,27 @@ def stein_kli(snr: float) -> float:
     return 0.5 * math.log1p(snr) - 0.5 * snr / (1.0 + snr)
 
 
-def _scaled_half_grid(f: SpectralDensity, sigma2: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2 pi)^d f / sigma^2 as a fresh array on the rows 0..grid // 2 of the leading axis of the
-    grid^d quadrature grid of the general rates (d <= 3), and those rows' weights.
+def _half_grid_mean(f: SpectralDensity, sigma2: float, grid: int,
+                    term: Callable[[np.ndarray], np.ndarray]) -> float:
+    """The grid^d rectangle-rule mean of term((2 pi)^d f / sigma^2) for an even f (d <= 3),
+    sampled in slabs of about _SLAB_BYTES of rows of the leading axis.
 
-    f is even, f(-omega) = f(omega), and omega -> -omega maps row i of the grid onto row
-    grid - i (row 0, at -pi, onto itself), so a grid mean is the weighted mean of the rows
-    0..grid // 2 (see _rows_mean)."""
+    f(-omega) = f(omega), and omega -> -omega maps row i of the grid onto row grid - i (row 0,
+    at -pi, onto itself), so the mean is the weighted mean of the rows 0..grid // 2 with the
+    weights of spectra._mirror_half.  term gets each slab's values as a fresh array it may
+    overwrite; its row sums are numpy's pairwise sums, weighted once all rows are in."""
     check_positive(sigma2=sigma2)
     if f.dim > 3:
         raise ValueError("rate quadrature supports d <= 3 only (grid memory)")
     rows, weights = _mirror_half(grid)
-    values = (2.0 * math.pi) ** f.dim * _sample_grid(f.evaluator, [rows] + [omega_grid(grid)] * (f.dim - 1))
-    values /= sigma2
-    return values, weights
-
-
-def _rows_mean(values: np.ndarray, weights: np.ndarray, grid: int) -> float:
-    """The grid^d mean of a function even in omega from its values on the weighted rows of
-    _scaled_half_grid: the row sums (numpy's pairwise sums) weighted and divided by grid^d."""
-    return float((weights * values.reshape(len(weights), -1).sum(axis=1)).sum()) / grid**values.ndim
+    rest = [omega_grid(grid)] * (f.dim - 1)
+    step = max(1, _SLAB_BYTES // (8 * grid ** (f.dim - 1)))
+    sums = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        values = (2.0 * math.pi) ** f.dim * _sample_grid(f.evaluator, [rows[lo:lo + step]] + rest)
+        values /= sigma2
+        sums[lo:lo + step] = term(values).reshape(len(values), -1).sum(axis=1)
+    return float((weights * sums).sum()) / grid**f.dim
 
 
 def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
@@ -233,22 +172,26 @@ def kli_rate_general(f1: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRI
     (2 pi)^{-d} integral of the bin-wise Gaussian Kullback-Leibler divergence
     D(N(0, sigma^2) || N(0, (2 pi)^d f1)); nonnegative term by term.
     """
-    r, weights = _scaled_half_grid(f1, sigma2, grid)
-    if not np.all(np.isfinite(r)) or r.min() <= 0.0:
-        raise ValueError("alternative spectrum must be finite and strictly positive")
-    h = np.log(r)
-    np.reciprocal(r, out=r)
-    r -= 1.0
-    h += r  # log r - (1 - 1/r)
-    return 0.5 * _rows_mean(h, weights, grid)
+    def term(r: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(r)) or r.min() <= 0.0:
+            raise ValueError("alternative spectrum must be finite and strictly positive")
+        h = np.log(r)
+        np.reciprocal(r, out=r)
+        r -= 1.0
+        h += r  # log r - (1 - 1/r)
+        return h
+
+    return 0.5 * _half_grid_mean(f1, sigma2, grid, term)
 
 
 def mi_rate_general(f: SpectralDensity, sigma2: float, grid: int = DEFAULT_GRID) -> float:
     """Per-node MI rate for a general d-D signal spectrum f (d <= 3), which must be even."""
-    a, weights = _scaled_half_grid(f, sigma2, grid)
-    if not np.all(np.isfinite(a)) or a.min() < 0.0:
-        raise ValueError("signal spectrum must be finite and nonnegative")
-    return 0.5 * _rows_mean(np.log1p(a, out=a), weights, grid)
+    def term(a: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(a)) or a.min() < 0.0:
+            raise ValueError("signal spectrum must be finite and nonnegative")
+        return np.log1p(a, out=a)
+
+    return 0.5 * _half_grid_mean(f, sigma2, grid, term)
 
 
 def low_snr_constants(zeta: float) -> LowSnrConstants:

@@ -132,10 +132,12 @@ def check_zeta(zeta: float) -> None:
 
 
 def omega_grid(n: int) -> np.ndarray:
-    """Uniform angular grid -pi + 2*pi*i/n, i = 0..n-1 (periodic rectangle rule)."""
+    """Uniform angular grid -pi + 2*pi*i/n, i = 0..n-1 (periodic rectangle rule), taken as
+    pi (2i - n) / n from the integer offset, so node n - i is exactly the negative of node i
+    and the nodes near 0 keep their relative accuracy."""
     check_at_least(1, grid=n)
     check_integer(1, grid=n)
-    return -math.pi + TWO_PI * np.arange(n) / n
+    return math.pi * (2 * np.arange(n) - n) / n
 
 
 def _mirror_half(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +159,7 @@ def _w2_closed_form(zeta: float, w1: np.ndarray, scale: float | np.ndarray, shif
     scale (1 - 2 zeta (cos w1 + cos w2)) + shift is A - B cos w2 (scale > 0, shift >= 0).
 
     Along w2, (1/2pi) int log(A - B cos w2) dw2 = log((A + s) / 2) and
-    (1/2pi) int cos(h w2) / (A - B cos w2) dw2 = r^|h| / s with r = B / (A + s); the
-    N-node rectangle rule from -pi adds (2/N) log(1 - (-1)^N r^N) to the first, by
-    prod_j (1 - 2 r cos(w + 2 pi j / N) + r^2) = 1 - 2 r^N cos(N w) + r^(2N).
+    (1/2pi) int cos(h w2) / (A - B cos w2) dw2 = r^|h| / s with r = B / (A + s).
     With t = 4 zeta sin^2(w1 / 2) = 2 zeta (1 - cos w1), A = scale ((1 - 2 zeta) + t) + shift,
     A - B = scale ((1 - 4 zeta) + t) + shift and A + B = scale (1 + t) + shift are sums of
     nonnegative terms, so s keeps full relative accuracy next to zeta = 1/4.  scale and shift

@@ -25,7 +25,7 @@ from gmrfinfo.gmrf_mc import (
     toeplitz_circulant_gap,
 )
 from gmrfinfo.corrmap import rho_from_zeta
-from gmrfinfo.inforates import _sfcar_rates, kli_rate_sfcar, stein_kli
+from gmrfinfo.inforates import kli_rate_general, kli_rate_sfcar, stein_kli
 from gmrfinfo.spectra import (
     SfcarModel,
     SingularSpectrumError,
@@ -191,9 +191,10 @@ class TestMcKli:
     @pytest.mark.parametrize("snr,zeta,sigma2", [(0.5, 0.0, 1.0), (10.0, 0.1, 0.6), (2.0, 0.2, 1.7),
                                                  (20.0, 0.24, 1.0), (1.0, 0.249, 2.5)])
     def test_mean_is_torus_rule(self, n, snr, zeta, sigma2):
-        # for even n the noise-law mean of the torus LLR is the n-point rectangle rule exactly
-        report = mc_kli_estimate(sfcar_for_snr(snr, zeta, sigma2), sigma2, n, 200, seed=n + 97)
-        exact = _sfcar_rates(snr, zeta, n)[0]
+        # for even n the noise-law mean of the torus LLR is the n x n rectangle rule exactly
+        model = sfcar_for_snr(snr, zeta, sigma2)
+        report = mc_kli_estimate(model, sigma2, n, 200, seed=n + 97)
+        exact = kli_rate_general(hidden_spectrum(sfcar_spectrum(model), sigma2), sigma2, n)
         assert abs(report.mean - exact) / report.std_error < 5
 
     @settings(max_examples=10)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
+from gmrfinfo import inforates
 from gmrfinfo.inforates import (
     _sfcar_rates,
     kli_rate_general,
@@ -22,7 +24,6 @@ from gmrfinfo.inforates import (
     sfcar_info_rates,
     stein_kli,
 )
-from gmrfinfo.specfun import elliptic_k
 from gmrfinfo.spectra import (SpectralDensity, constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr,
                               sfcar_spectrum)
 
@@ -57,39 +58,18 @@ def mp_cosines(grid: int) -> tuple:
     return cos, tuple(weights)
 
 
-def mp_direct_rule(snr: float, zeta: float, grid: int) -> tuple:
-    """(KLI, MI) of the SFCAR grid rule at 40 digits by its direct 2-D sum: the means of
-    log1p(a) / 2 and (log1p(a) - a / (1 + a)) / 2, a = snr / (q (1 - 2 zeta (cos w1 + cos w2))),
-    over the grid^2 nodes (the cosines' mirror pairs folded exactly)."""
+def mp_line_rule(snr: float, zeta: float, grid: int) -> tuple:
+    """(KLI, MI) of the SFCAR line rule at 40 digits: the grid-node means over w1 of the exact w2
+    integrals.  With A - B cos w2 the denominator, s = sqrt(A^2 - B^2), the w2 mean of
+    log(A - B cos w2) is log((A + s) / 2), and its A-derivative 1 / s is the mean of the reciprocal."""
     snr, zeta = mpmath.mpf(snr), mpmath.mpf(zeta)
     q = 2 / mpmath.pi * mpmath.ellipk(16 * zeta**2)
-    cos, weights = mp_cosines(grid)
-    kli = mi = mpmath.mpf(0)
-    for i, (ci, wi) in enumerate(zip(cos, weights)):
-        for j in range(i, len(cos)):
-            a = snr / (q * (1 - 2 * zeta * (ci + cos[j])))
-            h = mpmath.log1p(a)
-            w = wi * weights[j] * (1 if i == j else 2)
-            mi += w * h
-            kli += w * (h - a / (1 + a))
-    return kli / (2 * grid**2), mi / (2 * grid**2)
-
-
-def mp_product_rule(snr: float, zeta: float, grid: int) -> tuple:
-    """mp_direct_rule with each w1 row's w2 mean in closed form, by the product identity
-    prod_j (1 - 2 r cos(-pi + 2 pi j / N) + r^2) = (1 - (-1)^N r^N)^2: with A - B cos w2 the
-    denominator, s = sqrt(A^2 - B^2) and r = B / (A + s), the row's mean of log(A - B cos w2) is
-    log((A + s) / 2) + (2/N) log(1 - (-1)^N r^N), and its A-derivative is the mean of the reciprocal."""
-    snr, zeta = mpmath.mpf(snr), mpmath.mpf(zeta)
-    q = 2 / mpmath.pi * mpmath.ellipk(16 * zeta**2)
-    b, sign = 2 * zeta * q, (-1) ** grid
+    b = 2 * zeta * q
     cos, weights = mp_cosines(grid)
 
-    def row(a):  # (mean log, mean reciprocal) over the w2 nodes
+    def row(a):  # (mean log, mean reciprocal) over w2
         s = mpmath.sqrt(a * a - b * b)
-        rn = (b / (a + s)) ** grid
-        return (mpmath.log((a + s) / 2) + mpmath.mpf(2) / grid * mpmath.log(1 - sign * rn),
-                (1 + sign * rn) / ((1 - sign * rn) * s))
+        return mpmath.log((a + s) / 2), 1 / s
 
     kli = mi = mpmath.mpf(0)
     for c, w in zip(cos, weights):
@@ -101,12 +81,56 @@ def mp_product_rule(snr: float, zeta: float, grid: int) -> tuple:
 
 
 def reference_sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) of the grid rule at 40 digits, rounded: the direct sum up to grid 65, the
-    product identity above."""
+    """(KLI, MI) of the line rule at 40 digits, rounded."""
     if snr == 0.0 or zeta == 0.25:
         return 0.0, 0.0
-    rule = mp_direct_rule if grid <= 65 else mp_product_rule
-    return tuple(float(v) for v in rule(snr, zeta, grid))
+    return tuple(float(v) for v in mp_line_rule(snr, zeta, grid))
+
+
+def line_integrands(w: float, snr: float, delta: float) -> tuple[float, float]:
+    """The w1 integrands 2 KLI and 2 MI of the exact w2 integrals at zeta = 1/4 - delta, in
+    floats, with q from scipy's ellipkm1 and A - B = q (4 delta + t) taken from delta.  The KLI
+    integrand is (log1p(x) - x) + (x - snr / s1), the second part as one quotient."""
+    zeta = 0.25 - delta
+    t = 4.0 * zeta * math.sin(0.5 * w) ** 2
+    sq = snr / ((2.0 / math.pi) * special.ellipkm1(4.0 * delta * (1.0 + 4.0 * zeta)))
+    a = (0.5 + 2.0 * delta) + t
+    a1 = a + sq
+    s0 = math.sqrt((4.0 * delta + t) * (1.0 + t))
+    s1 = math.sqrt((4.0 * delta + t + sq) * (1.0 + t + sq))
+    s01 = s0 + s1
+    x = sq * (1.0 + (a + a1) / s01) / (a + s0)
+    gap = sq * sq * (a + a1 + s0 + a1 * (a + a1) / s01) / (s01 * (a + s0) * s1)
+    log_gap = -sum((-x) ** k / k for k in range(2, 20)) if x < 0.05 else math.log1p(x) - x
+    return log_gap + gap, math.log1p(x)
+
+
+def quad_reference(snr: float, zeta: float) -> tuple[float, float]:
+    """(KLI, MI) as line integrals over w1 by adaptive quadrature, with breakpoints at
+    sqrt(delta) 10^j around the integrands' peak of width sqrt(delta) at w1 = 0."""
+    delta = 0.25 - zeta
+    points = [math.sqrt(delta) * 10.0**j for j in range(8) if math.sqrt(delta) * 10.0**j < math.pi]
+    return tuple(integrate.quad(lambda w: line_integrands(w, snr, delta)[i], 0.0, math.pi, points=points,
+                                limit=200, epsabs=0.0, epsrel=1e-13)[0] / (2.0 * math.pi) for i in (0, 1))
+
+
+def mp_line_integral(snr: float, zeta: float) -> tuple:
+    """(KLI, MI) as line integrals over w1 at 40 digits, with quad_reference's breakpoints."""
+    snr, zeta = mpmath.mpf(snr), mpmath.mpf(zeta)
+    root = mpmath.sqrt(mpmath.mpf(0.25) - zeta)
+    q = 2 / mpmath.pi * mpmath.ellipk(16 * zeta**2)
+    b = 2 * zeta * q
+
+    def log_ratio(w):
+        a = q * (1 - 2 * zeta * mpmath.cos(w))
+        return mpmath.log((a + snr + mpmath.sqrt((a + snr) ** 2 - b * b)) / (a + mpmath.sqrt(a * a - b * b)))
+
+    def kli(w):
+        a1 = q * (1 - 2 * zeta * mpmath.cos(w)) + snr
+        return log_ratio(w) - snr / mpmath.sqrt(a1 * a1 - b * b)
+
+    points = [0, *(root * 10**j for j in range(8) if root * 10**j < mpmath.pi), mpmath.pi]
+    return tuple(mpmath.quad(f, points) / (2 * mpmath.pi) for f in (kli, log_ratio))
 
 
 class TestStein:
@@ -216,53 +240,26 @@ class TestSinglePass:
         return [0.0, 1e-6, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 5))]
 
     @staticmethod
-    def assert_agrees(snr, zeta, grid, slack=0.0):
+    def assert_agrees(snr, zeta, grid):
         # against the 40-digit rule: MI within 1e-15 relative, and KLI within 1e-15 of MI,
         # since the KLI integrand cancels like a^2 / 2 at small snr
         kli, mi = _sfcar_rates(snr, zeta, grid)
         kli_ref, mi_ref = reference_sfcar_rates(snr, zeta, grid)
-        assert abs(mi - mi_ref) <= 1e-15 * mi_ref + slack, (snr, zeta, grid)
-        assert abs(kli - kli_ref) <= 1e-15 * mi_ref + slack, (snr, zeta, grid)
-
-    @staticmethod
-    def cosine_rounding_slack(snr, zeta, grid):
-        """First-order change of the MI mean when each cosine moves by 2 ulps of 1.
-
-        The kernel's w1 nodes are omega_grid's rounded ones, and the denominator
-        d = 1 - 2 zeta (cos w1 + cos w2) cancels near zeta = 1/4 and amplifies their rounding,
-        so the rates may move by about mean(a / (1 + a) * 2 zeta * 4 eps / d) / 2 there (the
-        KLI integrand is less sensitive).  The worst case found was 2.5e-15 of MI at grid 1024,
-        snr 1e-6 and zeta = 0.249999, where this slack is 9e-12 of MI; with the nodes' sines
-        and cosines rounded from their exact values instead, the kernel is 2.1e-16 off.
-        """
-        if snr == 0.0 or zeta == 0.25:
-            return 0.0
-        q = (2.0 / math.pi) * elliptic_k(4.0 * zeta)
-        cos, weights = mp_cosines(grid)  # the mean over the folded grid
-        c, w = np.array(cos, dtype=float), np.array(weights, dtype=float)
-        d = 1.0 - 2.0 * zeta * (c[:, None] + c[None, :])
-        a = snr / (q * d)
-        return float(np.sum(np.outer(w, w) * a / (1.0 + a) * 4.0 * zeta * np.finfo(float).eps / d)) / grid**2
-
-    @pytest.mark.parametrize("grid", range(1, 9))
-    def test_product_identity_is_the_direct_rule(self, grid):
-        # the identity that both the kernel and the grid-512 and grid-1024 references rest on
-        for snr, zeta in [(1.0, 0.1), (1e-3, 0.24), (10.0, 0.25 - 1e-9), (1e5, 0.0)]:
-            direct, product = mp_direct_rule(snr, zeta, grid), mp_product_rule(snr, zeta, grid)
-            for d, p in zip(direct, product):
-                assert abs(d - p) <= mpmath.mpf(10) ** -30 * direct[1]
+        assert abs(mi - mi_ref) <= 1e-15 * mi_ref, (snr, zeta, grid)
+        assert abs(kli - kli_ref) <= 1e-15 * mi_ref, (snr, zeta, grid)
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 7, 16, 33, 64, 65, 512, 1024])
     def test_agrees_with_full_grid(self, grid):
-        # snr = 0 and zeta = 1/4 are among the cases, where MI = 0 makes the bounds exact
+        # the reference sums the same w1 nodes at 40 digits; snr = 0 and zeta = 1/4 are among the
+        # cases, where MI = 0 makes the bounds exact
         for snr in [*self.snrs(grid), 0.008]:
             for zeta in self.ZETAS:
-                self.assert_agrees(snr, zeta, grid, self.cosine_rounding_slack(snr, zeta, grid))
+                self.assert_agrees(snr, zeta, grid)
 
     @pytest.mark.parametrize("grid", [1, 3, 7, 16])
     def test_small_snr_kli_keeps_relative_accuracy(self, grid):
-        # the aliasing terms of the KLI cancel like its leading term at small snr, so they are
-        # summed as a Taylor remainder; the 2-D pass lost up to 2e-9 of the KLI here
+        # the KLI integrand cancels like a^2 / 2 at small snr, so it is summed from snr^2 terms;
+        # a 2-D pass lost up to 2e-9 of the KLI here
         for snr in (1e-6, 1e-4):
             for zeta in (0.1, 0.2, 0.2499, 0.25 - 1e-8):
                 kli_ref = reference_sfcar_rates(snr, zeta, grid)[0]
@@ -276,7 +273,7 @@ class TestSinglePass:
                           st.floats(min_value=-13.0, max_value=-1.0).map(lambda e: 0.25 - 10.0**e),
                           st.floats(min_value=-9.0, max_value=-2.0).map(lambda e: 10.0**e)))
     def test_agrees_with_full_grid_property(self, grid, snr, zeta):
-        self.assert_agrees(snr, zeta, grid, self.cosine_rounding_slack(snr, zeta, grid))
+        self.assert_agrees(snr, zeta, grid)
 
     def test_keeps_no_memory(self):
         # the pass is one-dimensional: a 2-D grid pass at 4096 allocates about 34 MB
@@ -290,6 +287,34 @@ class TestSinglePass:
             tracemalloc.stop()
         assert after - before < 2**16
         assert peak - before < 2**20
+
+
+class TestNextToQuarter:
+    """The default-grid rates against the line integrals next to zeta = 1/4, where the uniform
+    w1 rule needs O(1 / sqrt(1/4 - zeta)) nodes.  GRID_RULE_ERROR holds the relative errors
+    (KLI, MI) of the 2-D grid-512 rule, the w2 rule's aliasing terms included, against
+    quad_reference; the line rule has to stay below 0.6 of them, so a return of the 2-D node
+    error fails."""
+
+    GRID_RULE_ERROR = {
+        (1e-5, 1e-3): (4.64e-4, 2.94e-5), (1e-5, 1.0): (2.90e-7, 7.50e-8), (1e-5, 1e3): (5.48e-9, 4.54e-9),
+        (1e-6, 1e-3): (2.75e-2, 2.23e-3), (1e-6, 1.0): (2.32e-5, 5.73e-6), (1e-6, 1e3): (3.81e-7, 3.14e-7),
+        (1e-8, 1e-3): (0.310, 2.63e-2), (1e-8, 1.0): (2.85e-4, 6.52e-5), (1e-8, 1e3): (3.74e-6, 3.04e-6),
+        (4.5e-13, 1e-3): (1.58, 0.129), (4.5e-13, 1.0): (1.48e-3, 3.04e-4),
+        (4.5e-13, 1e3): (1.39e-5, 1.11e-5),
+    }
+
+    @pytest.mark.parametrize("delta,snr", sorted(GRID_RULE_ERROR))
+    def test_closer_than_grid_rule(self, delta, snr):
+        zeta = 0.25 - delta
+        rates = _sfcar_rates(snr, zeta, 512)
+        for rate, ref, grid_rule in zip(rates, quad_reference(snr, zeta), self.GRID_RULE_ERROR[delta, snr]):
+            assert abs(rate - ref) < 0.6 * grid_rule * ref, (rate, ref)
+
+    @pytest.mark.parametrize("delta,snr", [(1e-8, 1e-3), (4.5e-13, 1e-3), (4.5e-13, 1e3)])
+    def test_quad_reference_matches_mpmath(self, delta, snr):
+        for ref, exact in zip(quad_reference(snr, 0.25 - delta), mp_line_integral(snr, 0.25 - delta)):
+            assert ref == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 class TestGeneralRates:
@@ -365,15 +390,26 @@ class TestGeneralRates:
             kli_rate_general(constant_spectrum(1.0, dim=4), 1.0, 64)
 
     def test_grid_memory(self):
-        # the spectrum is sampled on open axes: no 8 MiB coordinate meshes at grid 1024
-        f1 = hidden_spectrum(sfcar_spectrum(sfcar_for_snr(2.0, 0.2)), 1.0)
-        tracemalloc.start()
-        try:
-            kli_rate_general(f1, 1.0, 1024)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 34 * 2**20
+        # the spectrum is sampled on open axes in slabs of about 256 KiB of rows: at grid 1024 the
+        # half grid alone is 4 MiB, and a whole-grid pass peaked at 32 MiB
+        f = sfcar_spectrum(sfcar_for_snr(2.0, 0.2))
+        for rate, spec in ((kli_rate_general, hidden_spectrum(f, 1.0)), (mi_rate_general, f)):
+            rate(spec, 1.0, 8)  # numpy's first-call set-up stays outside the traced call
+            tracemalloc.start()
+            try:
+                rate(spec, 1.0, 1024)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, rate
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slabs_keep_the_mean(self, dim, monkeypatch):
+        # many slabs (one row each) and one slab sum the same rows in the same order
+        spec = SpectralDensity(lambda *w: self.SKEWED[dim](*w) / (2.0 * math.pi) ** dim, dim=dim)
+        whole = kli_rate_general(spec, 0.7, 33), mi_rate_general(spec, 0.7, 33)
+        monkeypatch.setattr(inforates, "_SLAB_BYTES", 1)
+        assert (kli_rate_general(spec, 0.7, 33), mi_rate_general(spec, 0.7, 33)) == whole
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
