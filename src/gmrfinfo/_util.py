@@ -69,13 +69,13 @@ def bisect(pred: Callable[[float], bool], lo: float, hi: float, tol: float) -> t
 
 
 def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarray,
-                       abs_tol: float = 0.0, rel_tol: float = 0.0) -> tuple[float, float]:
+                       rel_tol: float) -> tuple[float, float]:
     """Refine the best grid point of ``fs = f(xs)`` (xs ascending) by golden-section search.
 
-    The bracket spans the neighbors of the first grid maximum and shrinks
-    while ``hi - lo > abs_tol + rel_tol * hi``.  Returns ``(x, f(x))`` for its
-    midpoint where that beats the best grid value by more than ``_TIE_REL`` of it,
-    otherwise the best grid point and its value (ties go to the grid point).
+    The bracket spans the neighbors of the first grid maximum and shrinks while ``hi - lo >
+    rel_tol * hi`` and both probes round strictly inside it, which ends a search closing on 0.
+    Returns ``(x, f(x))`` for its midpoint where that beats the best grid value by more than
+    ``_TIE_REL`` of it, otherwise the best grid point and its value (ties go to the grid point).
     """
     best = int(np.argmax(fs))
     lo = xs[max(best - 1, 0)]
@@ -83,7 +83,7 @@ def golden_section_max(f: Callable[[float], float], xs: np.ndarray, fs: np.ndarr
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > abs_tol + rel_tol * hi:
+    while hi - lo > rel_tol * hi and lo < x1 and x2 < hi:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

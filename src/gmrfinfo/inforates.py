@@ -33,10 +33,10 @@ __all__ = [
 
 DEFAULT_GRID = 512
 
-# optimal_zeta: points of the coarse zeta scan, and the golden-section bracket
-# width at which the refinement stops
-_ZETA_SCAN_POINTS = 101
-_ZETA_TOL = 1e-6
+# optimal_zeta searches the gap 1/4 - zeta from 2^-55, the smallest gap a double zeta carries (a
+# bracket closing on 0 never reaches a relative width), to 1/4, and stops at this relative width
+_MIN_GAP = 0.25 - math.nextafter(0.25, 0.0)
+_GAP_REL_TOL = 4e-6  # of the bracket's upper gap: 1e-6 in zeta at zeta = 0
 
 # rows of the leading axis that the general rates sample at once: about 256 KiB of values
 _SLAB_BYTES = 2**18
@@ -212,17 +212,16 @@ def low_snr_constants(zeta: float) -> LowSnrConstants:
 def optimal_zeta(snr: float, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     """Edge dependence maximizing the per-node KLI rate at the given SNR.
 
-    Coarse scan of 101 points over [0, 1/4] (ties resolved toward smaller
-    zeta) followed by golden-section refinement between the neighbors of the
-    best coarse point.  Returns (zeta_star, kli_star); the best coarse point
-    is returned instead unless the refined KLI beats it by more than 1e-14
-    relative (ties go to the grid point), so an optimum at zeta = 0 is exact.
+    One golden-section search over the gap g = 1/4 - zeta, in which the KLI rises and then
+    falls, so an optimum next to 1/4 is resolved to a relative width of its gap.  Returns
+    (zeta_star, kli_star): zeta = 0 unless the searched KLI beats it by more than 1e-14 relative
+    (ties go to zeta = 0, so an optimum there is exact), and (0.0, 0.0) if the KLI underflows.
     """
     check_positive(snr=snr)
 
-    def objective(z: float) -> float:
-        return kli_rate_sfcar(snr, z, grid)
+    def objective(gap: float) -> float:
+        return kli_rate_sfcar(snr, 0.25 - gap, grid)
 
-    zs = np.linspace(0.0, 0.25, _ZETA_SCAN_POINTS)
-    vals = np.array([objective(z) for z in zs])
-    return golden_section_max(objective, zs, vals, abs_tol=_ZETA_TOL)
+    gaps = np.array([_MIN_GAP, 0.25])
+    gap, kli = golden_section_max(objective, gaps, np.array([objective(g) for g in gaps]), _GAP_REL_TOL)
+    return (0.25 - gap, kli) if kli > 0.0 else (0.0, 0.0)

@@ -25,7 +25,7 @@ from gmrfinfo.gmrf_mc import (
     toeplitz_circulant_gap,
 )
 from gmrfinfo.corrmap import rho_from_zeta
-from gmrfinfo.inforates import kli_rate_general, kli_rate_sfcar, stein_kli
+from gmrfinfo.inforates import kli_rate_general, kli_rate_sfcar, mi_rate_sfcar, stein_kli
 from gmrfinfo.spectra import (
     SfcarModel,
     SingularSpectrumError,
@@ -33,6 +33,7 @@ from gmrfinfo.spectra import (
     autocovariance_grid,
     constant_spectrum,
     hidden_spectrum,
+    measurement_snr,
     sfcar_for_snr,
     sfcar_spectrum,
 )
@@ -415,6 +416,9 @@ class TestClosedFormW2:
         model = sfcar_for_snr(snr, zeta, sigma2)
         logdet, quadform = _hidden_limits(model, sigma2)
         assert logdet == pytest.approx(grid_mean(model, sigma2, np.log), rel=1e-13, abs=0.0)
+        # the log-det limit is log sigma^2 + 2 MI, with MI from the rate kernel on the same w1 nodes
+        mi = mi_rate_sfcar(measurement_snr(model, sigma2), zeta, 1024)
+        assert logdet == pytest.approx(math.log(sigma2) + 2.0 * mi, rel=1e-13, abs=0.0)
         assert quadform == pytest.approx(grid_mean(model, sigma2, lambda lam: sigma2 / lam),
                                          rel=1e-13, abs=0.0)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from gmrfinfo import inforates
 from gmrfinfo.inforates import (
@@ -311,6 +311,15 @@ class TestNextToQuarter:
         for rate, ref, grid_rule in zip(rates, quad_reference(snr, zeta), self.GRID_RULE_ERROR[delta, snr]):
             assert abs(rate - ref) < 0.6 * grid_rule * ref, (rate, ref)
 
+    @pytest.mark.xfail(strict=True, reason="quad_error_estimate is the gap to the rule at 2 x grid, "
+                       "which the slowly converging uniform w1 rule next to 1/4 leaves below the true error")
+    @pytest.mark.parametrize("delta", [4.5e-13, 1e-8, 1e-6])
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 1e3])
+    def test_error_estimate_covers_true_error(self, delta, snr):
+        result = sfcar_info_rates(snr, 0.25 - delta)
+        kli, mi = quad_reference(snr, 0.25 - delta)
+        assert result.quad_error_estimate >= max(abs(result.kli - kli), abs(result.mi - mi))
+
     @pytest.mark.parametrize("delta,snr", [(1e-8, 1e-3), (4.5e-13, 1e-3), (4.5e-13, 1e3)])
     def test_quad_reference_matches_mpmath(self, delta, snr):
         for ref, exact in zip(quad_reference(snr, 0.25 - delta), mp_line_integral(snr, 0.25 - delta)):
@@ -525,6 +534,34 @@ class TestOrderingAndHighSnr:
         assert slopes.max() / slopes.min() < 2.0  # "approximately constant"
 
 
+class TestHighSnrExpansion:
+    """MI = (log snr - log q - L + q / snr) / 2 - q^2 (1 + 4 zeta^2) / (4 snr^2) and
+    KLI = MI - 1/2 + q / (2 snr) - q^2 (1 + 4 zeta^2) / (2 snr^2), from log1p(a) = log a + 1/a - ...
+    with the spectral means mean(1/D) = q, mean(D) = 1 and mean(D^2) = 1 + 4 zeta^2 of
+    D = 1 - 2 zeta (cos w1 + cos w2), and L = mean(log D) = -integral_0^zeta (q(t) - 1) / t dt.
+    q and L come from mpmath at 30 digits; the first omitted terms are O(q^3 / snr^3)."""
+
+    @staticmethod
+    def expansion(snr: float, zeta: float) -> tuple[float, float]:
+        with mpmath.workdps(30):
+            def q_of(t):
+                return 2 / mpmath.pi * mpmath.ellipk(16 * t * t)
+
+            z, s = mpmath.mpf(zeta), mpmath.mpf(snr)
+            q = q_of(z)
+            big_l = -mpmath.quad(lambda t: (q_of(t) - 1) / t, [0, z]) if zeta else mpmath.mpf(0)
+            second = q * q * (1 + 4 * z * z) / (s * s)
+            mi = (mpmath.log(s) - mpmath.log(q) - big_l + q / s) / 2 - second / 4
+            return float(mi - mpmath.mpf(1) / 2 + q / (2 * s) - second / 2), float(mi)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.05, 0.2, 0.249, 0.2499])
+    @pytest.mark.parametrize("snr", [1e3, 1e4, 1e6, 1e9, 1e12])
+    def test_rates_match_expansion(self, snr, zeta):
+        q = (2.0 / math.pi) * float(mpmath.ellipk(16 * zeta**2))
+        for rate, expected in zip(_sfcar_rates(snr, zeta, inforates.DEFAULT_GRID), self.expansion(snr, zeta)):
+            assert abs(rate - expected) <= 2.0 * (q / snr) ** 3 + 2e-14, (rate, expected)
+
+
 class TestOptimalZeta:
     def test_high_snr_prefers_iid(self):
         z, v = optimal_zeta(10.0)
@@ -571,6 +608,41 @@ class TestOptimalZeta:
         assert 0.2499 < z < 0.25
         assert v >= coarse
         assert v >= 10 * snapped_kli
+
+    @pytest.mark.parametrize("db", [*np.linspace(-60.0, 80.0, 15), -0.5, -0.1, 0.1, 0.5])
+    def test_kli_rises_then_falls_in_gap(self, db):
+        # the one search assumes a single maximum in 1/4 - zeta; no SNR shows a second one
+        snr = 10 ** (db / 10)
+        kli = np.array([kli_rate_sfcar(snr, 0.25 - gap) for gap in np.logspace(-15.0, math.log10(0.25), 150)])
+        peak = int(np.argmax(kli))
+        assert np.all(np.diff(kli[: peak + 1]) > 0.0) and np.all(np.diff(kli[peak:]) < 0.0)
+
+    @pytest.mark.parametrize("db", [-10.0, -20.0, -27.0, -28.7, -29.0, -29.5, -30.0, -40.0, -50.0])
+    def test_matches_kernel_optimum_in_log_gap(self, db):
+        # a bounded search over log(1/4 - zeta) on the same kernel; a search with an absolute
+        # stop width in zeta cannot resolve a gap that shrinks with the SNR
+        snr = 10 ** (db / 10)
+        zeta, kli = optimal_zeta(snr)
+        ref = optimize.minimize_scalar(lambda t: -kli_rate_sfcar(snr, 0.25 - math.exp(t)), method="bounded",
+                                       bounds=(math.log(1e-15), math.log(0.25)), options={"xatol": 1e-10})
+        assert 0.25 - zeta == pytest.approx(math.exp(ref.x), rel=2e-6, abs=0.0)
+        assert kli == pytest.approx(-ref.fun, rel=1e-12, abs=0.0)
+
+    def test_solve_cost_is_bounded(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kli_rate_sfcar(*args)
+
+        monkeypatch.setattr(inforates, "kli_rate_sfcar", counted)
+        for dbs, most in ((np.arange(-30.0, 60.5, 2.5), 60), (np.arange(-3000.0, 3001.0, 100.0), 120)):
+            for db in dbs:
+                calls.clear()
+                optimal_zeta(10 ** (db / 10))
+                assert len(calls) <= most, (db, len(calls))
+        # the KLI underflows to 0 at every zeta; the tie goes to zeta = 0
+        assert optimal_zeta(1e-300) == (0.0, 0.0)
 
     def test_refined_beats_coarse_neighbors(self):
         snr = 10 ** (-0.05)

@@ -109,24 +109,31 @@ class TestBisect:
 
 
 class TestGoldenSectionMax:
-    xs = np.linspace(0.0, 1.0, 11)
+    # the stop width is relative to the bracket's upper end, so the grid keeps clear of x = 0
+    xs = np.linspace(1.0, 2.0, 11)
 
-    def search(self, f, **tol):
-        return golden_section_max(f, self.xs, np.array([f(x) for x in self.xs]), **tol)
+    def search(self, f, rel_tol=1e-6):
+        return golden_section_max(f, self.xs, np.array([f(x) for x in self.xs]), rel_tol)
 
     @pytest.mark.parametrize("slope", [-1.0, 1.0])
     def test_maximum_at_grid_end_is_that_end(self, slope):
-        end = 0.0 if slope < 0 else 1.0
-        assert self.search(lambda x: slope * x, abs_tol=1e-6) == (end, slope * end)
+        end = 1.0 if slope < 0 else 2.0
+        assert self.search(lambda x: slope * x) == (end, slope * end)
 
-    @pytest.mark.parametrize("tol,width", [({"abs_tol": 1e-6}, 1e-6), ({"rel_tol": 1e-6}, 0.37e-6)])
+    def test_maximum_at_zero_ends_when_probes_round_onto_it(self):
+        # no relative width is reached on [0, hi]: the bracket closes until a probe rounds to 0
+        xs = np.linspace(0.0, 1.0, 11)
+        assert golden_section_max(lambda x: -x, xs, -xs, 1e-6) == (0.0, 0.0)
+
+    # the bracket around 1.37 ends below rel_tol times its upper end
+    @pytest.mark.parametrize("tol,width", [({"rel_tol": 7e-7}, 1e-6), ({"rel_tol": 2.7e-7}, 3.7e-7)])
     def test_interior_maximum_within_tolerance(self, tol, width):
-        x, v = self.search(lambda x: -(x - 0.37) ** 2, **tol)
-        assert abs(x - 0.37) <= width
-        assert v == -(x - 0.37) ** 2
+        x, v = self.search(lambda x: -(x - 1.37) ** 2, **tol)
+        assert abs(x - 1.37) <= width
+        assert v == -(x - 1.37) ** 2
 
     def test_refined_value_below_grid_point_returns_grid_point(self):
-        assert self.search(lambda x: 1.0 if x == 0.5 else -abs(x - 0.5), abs_tol=1e-6) == (0.5, 1.0)
+        assert self.search(lambda x: 1.0 if x == 1.5 else -abs(x - 1.5)) == (1.5, 1.0)
 
     @pytest.mark.parametrize("base", [1.0, -1.0])
     @pytest.mark.parametrize("gain,refined", [(5e-15, False), (1e-14, False), (2e-14, True)])
@@ -135,16 +142,16 @@ class TestGoldenSectionMax:
         def f(x):
             return base if x in self.xs else base + gain * abs(base)
 
-        x, v = self.search(f, abs_tol=1e-6)
+        x, v = self.search(f)
         if refined:
-            assert 0.0 < x < 0.1 and v == base + gain * abs(base)
+            assert 1.0 < x < 1.1 and v == base + gain * abs(base)
         else:
-            assert (x, v) == (0.0, base)
+            assert (x, v) == (1.0, base)
 
     def test_rise_toward_end_stays_interior(self):
         # the maximum is approached, not reached: the end itself scores 0
-        x, v = self.search(lambda x: x if x < 1.0 else 0.0, abs_tol=1e-6)
-        assert 1.0 - 1e-6 < x < 1.0
+        x, v = self.search(lambda x: x if x < 2.0 else 0.0)
+        assert 2.0 - 2e-6 < x < 2.0
         assert v == x
 
 
