@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .gmrf_mc import mc_kli_estimate
-from .inforates import DEFAULT_GRID, _sfcar_rates, kli_rate_sfcar, optimal_zeta, sfcar_info_rates
+from .inforates import _sfcar_rates, kli_rate_sfcar, optimal_zeta, sfcar_info_rates
 from .network import (
     NetworkConfig,
     optimal_density,
@@ -99,8 +99,6 @@ def _mu_grid(args) -> np.ndarray:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                        help=f"quadrature node count along w1 (default {DEFAULT_GRID})")
     parser.add_argument("--output", type=str, default=None, help="CSV output path")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of defaults; explicit flags win")
@@ -258,9 +256,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _run_rates(args):
-    result = sfcar_info_rates(_snr_linear(args), args.zeta, args.grid)
+    result = sfcar_info_rates(_snr_linear(args), args.zeta)
     print(f"kli={result.kli:.12g} mi={result.mi:.12g} "
-          f"quad_error={result.quad_error_estimate:.3g} grid={result.grid}")
+          f"quad_error={result.quad_error_estimate:.3g}")
     rows = [{"snr": _snr_linear(args), "zeta": args.zeta, "kli": result.kli,
              "mi": result.mi, "quad_error": result.quad_error_estimate}]
     return rows, {}
@@ -269,7 +267,7 @@ def _run_rates(args):
 def _run_sweep_zeta(args):
     snr = _snr_linear(args)
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
-    pairs = [_sfcar_rates(snr, z, args.grid) for z in zetas.tolist()]
+    pairs = [_sfcar_rates(snr, z) for z in zetas.tolist()]
     rows = [{"zeta": float(z), "kli": k, "mi": m} for z, (k, m) in zip(zetas, pairs)]
     print(f"swept {len(rows)} zeta points at snr={snr:.6g}")
     return rows, {}
@@ -281,7 +279,7 @@ def _run_sweep_snr(args):
     # 10^(db/10) rises with db, so only the larger end's flag can be too large
     top = "--snr-db-max" if args.snr_db_max >= args.snr_db_min else "--snr-db-min"
     snrs = [_snr_from_db(db, top) for db in dbs]
-    pairs = [_sfcar_rates(snr, args.zeta, args.grid) for snr in snrs]
+    pairs = [_sfcar_rates(snr, args.zeta) for snr in snrs]
     rows = [{"snr_db": db, "snr": snr, "kli": k, "mi": m}
             for db, snr, (k, m) in zip(dbs, snrs, pairs)]
     print(f"swept {len(rows)} SNR points at zeta={args.zeta}")
@@ -298,7 +296,7 @@ def _run_optimal_zeta(args):
         raise ValueError(f"--step-db is too small: the range needs more than {_MAX_ZETA_SOLVES} solves")
     dbs = [min(args.snr_db_min + i * args.step_db, args.snr_db_max) for i in range(int(span) + 1)]
     snrs = [_snr_from_db(db, "--snr-db-max") for db in dbs]
-    results = [optimal_zeta(snr, grid=args.grid) for snr in snrs]
+    results = [optimal_zeta(snr) for snr in snrs]
     rows = [{"snr_db": db, "zeta_star": z, "kli_star": v}
             for db, (z, v) in zip(dbs, results)]
     print(f"optimal zeta over {len(rows)} SNR points")
@@ -309,7 +307,7 @@ def _run_mc_verify(args):
     snr = _snr_linear(args)
     model = sfcar_for_snr(snr, args.zeta, args.sigma2)
     report = mc_kli_estimate(model, args.sigma2, args.n, args.trials, args.seed)
-    target = kli_rate_sfcar(snr, args.zeta, args.grid)
+    target = kli_rate_sfcar(snr, args.zeta)
     print(f"mc mean={report.mean:.8g} se={report.std_error:.3g} "
           f"quadrature target={target:.8g} n={args.n} trials={args.trials}")
     rows = [{"n": args.n, "trials": args.trials, "seed": args.seed, "mean": report.mean,
@@ -320,7 +318,7 @@ def _run_mc_verify(args):
 def _run_scaling(args):
     cfg = NetworkConfig(n=args.n_list[0], dn=args.dn, es=args.es, e0=args.e0, nu=args.nu,
                         alpha=args.alpha, beta=args.beta, fusion=args.fusion)
-    sweep = sweep_fixed_density(cfg, args.n_list, args.measure, args.grid)
+    sweep = sweep_fixed_density(cfg, args.n_list, args.measure)
     rows = [{"n": r.n, "area": r.n**2 * r.dn**2, "snr": r.snr, "zeta": r.zeta,
              "per_node_info": r.per_node_info, "total_info": r.total_info,
              "total_energy": r.total_energy, "efficiency": r.efficiency}
@@ -341,7 +339,7 @@ def _run_spacing(args):
     check_at_least(0, snr=snr)  # before the config, which would blame its es field
     cfg = NetworkConfig(n=2, dn=1.0, es=snr, e0=1.0, nu=2.0, alpha=args.alpha, beta=1.0)
     dns = list(np.linspace(args.dn_min, args.dn_max, args.points))
-    sweep = sweep_spacing(cfg, dns, args.measure, args.grid)
+    sweep = sweep_spacing(cfg, dns, args.measure)
     rows = [{"dn": d, "rate": r, "gap": sweep.limit - r}
             for d, r in zip(sweep.dn_list, sweep.rates)]
     extras = {"limit": sweep.limit, "gap_fit_slope": sweep.gap_fit.slope,
@@ -352,7 +350,7 @@ def _run_spacing(args):
 
 def _run_density(args):
     snr = _snr_linear(args)
-    sweep = sweep_infinite_density(args.L, _mu_grid(args), args.measure, snr, args.alpha, args.grid)
+    sweep = sweep_infinite_density(args.L, _mu_grid(args), args.measure, snr, args.alpha)
     rows = [{"mu": m, "rate": r, "per_area_info": p}
             for m, r, p in zip(sweep.mu_list, sweep.rates, sweep.per_area_info)]
     extras = {"plateau_variation": sweep.plateau_variation}
@@ -363,7 +361,7 @@ def _run_density(args):
 def _run_energy(args):
     cfg = NetworkConfig(n=args.n, dn=args.dn, es=1.0, e0=args.e0, nu=args.nu,
                         alpha=args.alpha, beta=args.beta)
-    sweep = sweep_energy_fixed_all(cfg, args.et_list, args.measure, args.grid)
+    sweep = sweep_energy_fixed_all(cfg, args.et_list, args.measure)
     rows = [{"et": e, "total_info": i} for e, i in zip(sweep.et_list, sweep.total_info)]
     extras = {"increments": list(sweep.increments)}
     print("total-info increments per budget step:",
@@ -373,7 +371,7 @@ def _run_energy(args):
 
 def _run_optimal_density(args):
     result = optimal_density(args.L, args.et, args.alpha, args.beta, args.e0,
-                             args.nu, args.measure, _mu_grid(args), args.grid)
+                             args.nu, args.measure, _mu_grid(args))
     rows = [{"mu": m, "total_info": v}
             for m, v in zip(result.mu_list, result.total_info)]
     extras = {

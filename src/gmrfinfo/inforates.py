@@ -8,6 +8,8 @@ information-maximizing edge dependence.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from ._util import check_at_least, check_positive, golden_section_max
-from .specfun import _agm, elliptic_k
-from .spectra import SpectralDensity, _mirror_half, _sample_grid, _w2_closed_form, check_zeta, omega_grid
+from .specfun import _agm, _agm_array, elliptic_k
+from .spectra import InvalidModelError, SpectralDensity, _mirror_half, _sample_grid, check_zeta, omega_grid
 
 __all__ = [
     "InfoRateResult",
@@ -44,15 +46,14 @@ _SLAB_BYTES = 2**18
 
 @dataclass(frozen=True)
 class InfoRateResult:
-    """Per-node KLI and MI rates [nats/node] with a self-convergence error bar.
+    """Per-node KLI and MI rates [nats/node] with an error bar.
 
-    ``quad_error_estimate`` is the largest gap between the rates evaluated at
-    ``grid`` and at ``2 * grid`` w1 nodes.
+    ``quad_error_estimate`` is the larger, over the two rates, of the gap between the n-node and
+    the 2n-node Gauss-Legendre rules plus a rounding floor of 32 eps times the rate.
     """
 
     kli: float
     mi: float
-    grid: int
     quad_error_estimate: float
 
 
@@ -64,77 +65,87 @@ class LowSnrConstants:
     c3_prime: float
 
 
-def _power_series(z: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """sum_k coef[k] z^k (coef positive and falling) by Horner's rule, through the first term
-    below 2^-60 coef[0] at the largest |z|."""
-    top, k = float(np.abs(z).max()), 1
-    while k < len(coef) and coef[k] * top**k >= 2.0**-60 * coef[0]:
-        k += 1
-    total = np.full_like(z, coef[k - 1])
-    for c in reversed(coef[: k - 1]):
-        total *= z
-        total += c
-    return total
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [0, 1]: four Newton
+    steps on P_n's recurrence from Tricomi's estimates, in numpy's extended precision."""
+    x = np.cos(np.pi * (4.0 * np.arange(n, 0, -1, dtype=np.longdouble) - 1.0) / (4.0 * n + 2.0))
+    x *= 1.0 - (n - 1) / (8.0 * n**3)
+    for _ in range(4):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        slope = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        x = x - p1 / slope
+    nodes = ((1.0 + x) / 2.0).astype(float)
+    weights = (1.0 / ((1.0 - x) * (1.0 + x) * slope * slope)).astype(float)
+    nodes.flags.writeable = weights.flags.writeable = False  # every caller shares the cached arrays
+    return nodes, weights
 
 
-# coefficients of 2 (atanh(u) - u) / (2 u^3) in u^2
-_ATANH_COEF = tuple(1.0 / (2 * k + 3) for k in range(40))
+def _node_count(length: float, zeta: float, delta: float) -> int:
+    """Gauss-Legendre nodes for u in [0, length] (README, "SFCAR rate kernel"): the least n with
+    rho^(-2n) <= e^-37, at least 8 and rounded up to three significant bits, where rho = |z + sqrt(z^2
+    - 1)| and z = x + 2 pi i / length is the integrands' singularity nearest [0, length] mapped onto
+    [-1, 1]: their cut Im u = pi ends at u = log(2 zeta / delta), clamped to x in [-1, 0]."""
+    need = 8
+    if length > 0.0:
+        reach = math.log(2.0 * zeta / delta) if zeta > 0.0 else 0.0
+        z = complex(min(max(2.0 * reach / length - 1.0, -1.0), 0.0), 2.0 * math.pi / length)
+        rho = abs(z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0))
+        need = max(need, math.ceil(18.5 / math.log(rho)))
+    step = 2 ** (need.bit_length() - 3)
+    return -(-need // step) * step
 
 
-def _sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) of the hidden SFCAR: the grid-node rectangle-rule means over w1 of the exact
-    w2 integrals of MI = log1p(a) / 2 and KLI = (log1p(a) - a / (1 + a)) / 2, with
-    a = snr / (q (1 - 2 zeta (cos w1 + cos w2))).
-
-    Along w2, q (1 + a) and q are A1 - B cos w2 and A - B cos w2 with A1 = A + snr, and
-    spectra._w2_closed_form gives the exact w2 means of their logs and reciprocals; the w1
-    nodes of omega_grid(grid) fold onto 0..grid // 2 with the weights of spectra._mirror_half.
-    Per w1 node, with s0 and s1 the s of A and A1 and 1 + x = (A1 + s1) / (A + s0),
-        2 MI = log1p(x),    2 KLI = log1p(x) - snr / s1.
-    Every near-equal difference is taken from snr: s1 - s0 = snr (A + A1) / (s0 + s1).  For
-    x <= 1 the KLI term is the sum of log1p(x) - x / (1 + x) (an atanh series) and
-    x / (1 + x) - snr / s1 = snr^2 B^2 (A + A1) / ((s0 + s1) s1 (A1 + s1) (s1 A + A1 s0)),
-    both positive.  zeta = 1/4 (the perfectly correlated limit) and snr = 0 give exactly 0.
-    """
+def _sfcar_rules(snr: float, zeta: float, refine: bool) -> list[tuple[float, float]]:
+    """(KLI, MI) of the hidden SFCAR by the n-node Gauss-Legendre rule, and with refine also by the
+    2n-node rule, from one AGM pass over all nodes (derivation in the README, "SFCAR rate kernel"):
+    with Y = snr / q, k = 4 zeta / (1 + y) and delta = 1/4 - zeta, the integrals over y in [0, Y] of
+    MI = K(k) / (pi (1 + y)) and KLI = y E(k) / (pi k'^2 (1 + y)^2), taken in u, y + 4 delta = 4 delta
+    e^u, with 1 - k = (y + 4 delta) / (1 + y) from delta, and MI as log1p(Y) / 2 plus the integral of
+    (1 - k) (K - pi/2) / pi.  zeta = 1/4 (perfect correlation) and snr = 0 give exactly 0."""
     check_at_least(0, snr=snr)
     check_zeta(zeta)
     if snr == 0.0 or zeta == 0.25:
-        return 0.0, 0.0
-    w1, weights = _mirror_half(grid)
-    snr_q = snr / ((2.0 / math.pi) * elliptic_k(4.0 * zeta))  # A, B and s in units of q
-    (a, a1), b, (s0, s1) = _w2_closed_form(zeta, w1, 1.0, np.array([[0.0], [snr_q]]))
-    s01 = s0 + s1
-    rise = snr_q * (1.0 + (a + a1) / s01)  # (A1 + s1) - (A + s0)
-    x = rise / (a + s0)
-    mi = np.log1p(x)
-    kli = mi - snr_q / s1
-    small = x <= 1.0
-    if small.any():
-        tilt = snr_q * snr_q * (b * b) * (a + a1) / (s01 * s1 * (a1 + s1) * (s1 * a + a1 * s0))
-        # log1p(x) - x / (1 + x) = 2 atanh(u) - 2u / (1 + u) with u = x / (2 + x) <= 1/3
-        u = np.where(small, rise / (a + a1 + s01), 0.0)
-        v = u * u
-        lead = 2.0 * v / (1.0 + u) + 2.0 * u * v * _power_series(v, _ATANH_COEF) + tilt
-        kli = np.where(small, lead, kli)
-    return 0.5 * (float((weights * kli).sum()) / grid), 0.5 * (float((weights * mi).sum()) / grid)
+        return [(0.0, 0.0)] * (1 + refine)
+    delta = 0.25 - float(zeta)
+    y_top = float(snr) / ((2.0 / math.pi) * elliptic_k(4.0 * zeta))
+    ratio = y_top / (4.0 * delta)  # Python floats, so an overflow is a silent inf
+    length = math.log1p(ratio) if ratio < math.inf else math.log(y_top) - math.log(4.0 * delta)
+    n = _node_count(length, zeta, delta)
+    rules = [_gauss_legendre(count) for count in ((n, 2 * n) if refine else (n,))]
+    half_u = (0.5 * length) * np.concatenate([nodes for nodes, _ in rules])
+    y = (8.0 * delta) * np.exp(half_u) * np.sinh(half_u)  # 4 delta expm1(u), which overflows first
+    one_y = 1.0 + y
+    k = 4.0 * zeta / one_y
+    low = (y + 4.0 * delta) / one_y  # 1 - k
+    m, gap, e_ratio = _agm_array(k, np.sqrt(low * (1.0 + k)))  # K = (pi/2) / M, E = K e_ratio
+    terms = np.array([y * e_ratio / (m * (one_y + 4.0 * zeta)), low * gap / m])  # in units of pi/2
+    sums = [terms[:, start:start + len(weights)] @ weights for (_, weights), start in zip(rules, (0, n))]
+    return [(0.5 * length * float(kli), 0.5 * (math.log1p(y_top) + length * float(mi))) for kli, mi in sums]
 
 
-def kli_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
+def _sfcar_rates(snr: float, zeta: float) -> tuple[float, float]:
+    """(KLI, MI) of the hidden SFCAR [nats/node] by the n-node rule of _sfcar_rules."""
+    return _sfcar_rules(snr, zeta, False)[0]
+
+
+def kli_rate_sfcar(snr: float, zeta: float) -> float:
     """Per-node KLI rate of the hidden SFCAR model [nats/node]; 0 at zeta = 1/4 and at snr = 0."""
-    return _sfcar_rates(snr, zeta, grid)[0]
+    return _sfcar_rates(snr, zeta)[0]
 
 
-def mi_rate_sfcar(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> float:
+def mi_rate_sfcar(snr: float, zeta: float) -> float:
     """Per-node MI rate of the hidden SFCAR model [nats/node]."""
-    return _sfcar_rates(snr, zeta, grid)[1]
+    return _sfcar_rates(snr, zeta)[1]
 
 
-def sfcar_info_rates(snr: float, zeta: float, grid: int = DEFAULT_GRID) -> InfoRateResult:
-    """Both SFCAR rates at ``grid`` plus the gap to a 2x-refined quadrature."""
-    kli, mi = _sfcar_rates(snr, zeta, grid)
-    kli_fine, mi_fine = _sfcar_rates(snr, zeta, 2 * grid)
-    err = max(abs(kli - kli_fine), abs(mi - mi_fine))
-    return InfoRateResult(kli=kli, mi=mi, grid=grid, quad_error_estimate=err)
+def sfcar_info_rates(snr: float, zeta: float) -> InfoRateResult:
+    """Both SFCAR rates with the error bar of InfoRateResult."""
+    (kli, mi), (kli_fine, mi_fine) = _sfcar_rules(snr, zeta, True)
+    err = max(abs(kli - kli_fine) + 2.0**-47 * kli, abs(mi - mi_fine) + 2.0**-47 * mi)  # 2^-47 = 32 eps
+    return InfoRateResult(kli=kli, mi=mi, quad_error_estimate=err)
 
 
 def stein_kli(snr: float) -> float:
@@ -200,16 +211,16 @@ def low_snr_constants(zeta: float) -> LowSnrConstants:
     c3  = (2^6 K^2(4 zeta))^{-1} integral (1 - 2 zeta cos w1 - 2 zeta cos w2)^{-2}
         = pi E(4 zeta) / (8 (1 - 16 zeta^2) K(4 zeta)^2)
     c3' = (2^4 pi K(4 zeta))^{-1} integral (1 - 2 zeta cos w1 - 2 zeta cos w2)^{-1} = 1/2
-    c3 diverges at zeta = 1/4, so zeta > 0.2499 is rejected.
+    for every zeta < 1/4, with 1 - 16 zeta^2 = 4 delta (1 + 4 zeta) taken from delta = 1/4 - zeta.
+    c3 diverges at zeta = 1/4, which raises InvalidModelError.
     """
-    if not 0.0 <= zeta <= 0.2499:
-        raise ValueError(f"zeta must lie in [0, 0.2499] for the low-SNR constants, got {zeta!r}")
-    k = 4.0 * zeta
-    m, _, e_over_k = _agm(k)  # c3 = M (E / K) / (4 (1 - k^2)) since K = pi / (2 M)
-    return LowSnrConstants(c3=m * e_over_k / (4.0 * (1.0 - k) * (1.0 + k)), c3_prime=0.5)
+    if not 0.0 <= zeta < 0.25:
+        raise InvalidModelError(f"zeta must lie in [0, 1/4) for c3, which diverges at 1/4, got {zeta!r}")
+    m, _, e_over_k = _agm(4.0 * zeta)  # c3 = M (E / K) / (4 (1 - k^2)) since K = pi / (2 M)
+    return LowSnrConstants(c3=m * e_over_k / (16.0 * (0.25 - zeta) * (1.0 + 4.0 * zeta)), c3_prime=0.5)
 
 
-def optimal_zeta(snr: float, grid: int = DEFAULT_GRID) -> tuple[float, float]:
+def optimal_zeta(snr: float) -> tuple[float, float]:
     """Edge dependence maximizing the per-node KLI rate at the given SNR.
 
     One golden-section search over the gap g = 1/4 - zeta, in which the KLI rises and then
@@ -220,7 +231,7 @@ def optimal_zeta(snr: float, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     check_positive(snr=snr)
 
     def objective(gap: float) -> float:
-        return kli_rate_sfcar(snr, 0.25 - gap, grid)
+        return kli_rate_sfcar(snr, 0.25 - gap)
 
     gaps = np.array([_MIN_GAP, 0.25])
     gap, kli = golden_section_max(objective, gaps, np.array([objective(g) for g in gaps]), _GAP_REL_TOL)

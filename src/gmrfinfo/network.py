@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corrmap import PhysicalField, zeta_from_spacing
-from .inforates import DEFAULT_GRID, kli_rate_sfcar, mi_rate_sfcar, stein_kli
+from .inforates import kli_rate_sfcar, mi_rate_sfcar, stein_kli
 from ._util import (bisect, check_at_least, check_finite, check_integer, check_positive, golden_section_max,
                     sorted_points)
 
@@ -43,13 +43,6 @@ __all__ = [
 
 # optimal_density: relative golden-section bracket width at which the refinement stops
 _DENSITY_REL_TOL = 1e-4
-
-# measure -> (per-node rate at (snr, zeta, grid), decorrelated limit at snr); the kernels are
-# looked up by name at each call, so rebinding this module's names (as a tracer does) takes effect
-_MEASURES = {
-    "kli": (lambda snr, zeta, grid: kli_rate_sfcar(snr, zeta, grid), lambda snr: stein_kli(snr)),
-    "mi": (lambda snr, zeta, grid: mi_rate_sfcar(snr, zeta, grid), lambda snr: 0.5 * math.log1p(snr)),
-}
 
 
 class InfeasibleEnergyError(ValueError):
@@ -157,10 +150,15 @@ def _check_density(mu: float) -> None:
         raise ValueError("densities must be finite and positive")
 
 
-def _operating_point(snr: float, alpha: float, dn: float, measure: str, grid: int) -> tuple[float, float]:
+def _rate(measure: str, snr: float, zeta: float) -> float:
+    """Per-node rate of ``measure``, its kernel looked up by name at each call (a tracer rebinds it)."""
+    return (kli_rate_sfcar if measure == "kli" else mi_rate_sfcar)(snr, zeta)
+
+
+def _operating_point(snr: float, alpha: float, dn: float, measure: str) -> tuple[float, float]:
     """(zeta, per-node rate) of sensors at spacing dn in a field of diffusion rate alpha."""
     zeta = zeta_from_spacing(PhysicalField(alpha), dn)
-    return zeta, _MEASURES[measure][0](snr, zeta, grid)
+    return zeta, _rate(measure, snr, zeta)
 
 
 def _report(cfg: NetworkConfig, zeta: float, rate: float) -> NetworkReport:
@@ -171,10 +169,10 @@ def _report(cfg: NetworkConfig, zeta: float, rate: float) -> NetworkReport:
                          total_info=info, total_energy=energy, efficiency=info / energy)
 
 
-def network_report(cfg: NetworkConfig, measure: str = "kli", grid: int = DEFAULT_GRID) -> NetworkReport:
+def network_report(cfg: NetworkConfig, measure: str = "kli") -> NetworkReport:
     """Evaluate one configuration: spacing -> zeta, es -> SNR, rate -> totals."""
     _check_measure(measure)
-    return _report(cfg, *_operating_point(cfg.beta * cfg.es, cfg.alpha, cfg.dn, measure, grid))
+    return _report(cfg, *_operating_point(cfg.beta * cfg.es, cfg.alpha, cfg.dn, measure))
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> FitResult:
@@ -213,12 +211,7 @@ class FixedDensitySweep:
     info_vs_energy: FitResult    # expect slope 2/3 (1 with in-network fusion)
 
 
-def sweep_fixed_density(
-    cfg: NetworkConfig,
-    n_list: Sequence[int],
-    measure: str = "kli",
-    grid: int = DEFAULT_GRID,
-) -> FixedDensitySweep:
+def sweep_fixed_density(cfg: NetworkConfig, n_list: Sequence[int], measure: str = "kli") -> FixedDensitySweep:
     """Grow the coverage area at fixed spacing and sensing energy.
 
     Fits log(efficiency) against log(area) and log(total info) against
@@ -227,7 +220,7 @@ def sweep_fixed_density(
     _check_measure(measure)
     sides = sorted_points(n_list, "sides", _check_side)
     # every side shares the spacing and SNR, so one operating point serves them all
-    point = _operating_point(cfg.beta * cfg.es, cfg.alpha, cfg.dn, measure, grid)
+    point = _operating_point(cfg.beta * cfg.es, cfg.alpha, cfg.dn, measure)
     reports = tuple(_report(replace(cfg, n=n), *point) for n in sides)
     area = [r.n**2 * r.dn**2 for r in reports]
     return FixedDensitySweep(
@@ -246,12 +239,8 @@ class PernodeEnergySweep:
     info_vs_nodes: FitResult           # expect slope -1/3
 
 
-def sweep_fixed_pernode_energy(
-    cfg: NetworkConfig,
-    n_list: Sequence[int],
-    measure: str = "kli",
-    grid: int = DEFAULT_GRID,
-) -> PernodeEnergySweep:
+def sweep_fixed_pernode_energy(cfg: NetworkConfig, n_list: Sequence[int],
+                               measure: str = "kli") -> PernodeEnergySweep:
     """Grow the network with a fixed per-node energy budget Ebar.
 
     Ebar is the base sensing energy plus the per-node communication share at
@@ -266,7 +255,7 @@ def sweep_fixed_pernode_energy(
     n_sorted = sorted_points(n_list, "sides", _check_side)
     n0 = n_sorted[0]
     ebar = cfg.es + total_energy(replace(cfg, n=n0, es=0.0)) / n0**2
-    rate = network_report(cfg, measure, grid).per_node_info
+    rate = network_report(cfg, measure).per_node_info
 
     def gathered(n: int) -> float:
         # largest (real) side m <= n whose sub-lattice energy fits the pool n^2 * ebar
@@ -291,12 +280,7 @@ class SpacingSweep:
     alpha_estimate: float        # -slope, expect alpha
 
 
-def sweep_spacing(
-    cfg: NetworkConfig,
-    dn_list: Sequence[float],
-    measure: str = "kli",
-    grid: int = DEFAULT_GRID,
-) -> SpacingSweep:
+def sweep_spacing(cfg: NetworkConfig, dn_list: Sequence[float], measure: str = "kli") -> SpacingSweep:
     """Per-node information versus sensor spacing at fixed SNR.
 
     The gap to the decorrelated limit D closes like sqrt(dn) exp(-alpha dn),
@@ -304,9 +288,9 @@ def sweep_spacing(
     """
     _check_measure(measure)
     snr = cfg.beta * cfg.es
-    limit = _MEASURES[measure][1](snr)
+    limit = stein_kli(snr) if measure == "kli" else 0.5 * math.log1p(snr)
     dns = sorted_points(dn_list, "spacings", lambda d: check_positive(spacing=float(d)))
-    rates = [_operating_point(snr, cfg.alpha, d, measure, grid)[1] for d in dns]
+    rates = [_operating_point(snr, cfg.alpha, d, measure)[1] for d in dns]
     # (dn, log(gap / sqrt(dn))) wherever the gap to the limit is positive
     kept = [(d, math.log((limit - r) / math.sqrt(d))) for d, r in zip(dns, rates) if limit - r > 0.0]
     if len({d for d, _ in kept}) >= 2:
@@ -326,21 +310,15 @@ class DensitySweep:
     plateau_variation: float           # (max-min)/mean over the top density decade
 
 
-def sweep_infinite_density(
-    L: float,
-    mu_list: Sequence[float],
-    measure: str,
-    snr: float,
-    alpha: float,
-    grid: int = DEFAULT_GRID,
-) -> DensitySweep:
+def sweep_infinite_density(L: float, mu_list: Sequence[float], measure: str, snr: float,
+                           alpha: float) -> DensitySweep:
     """Per-node information versus node density mu >= 1/L^2 on a fixed L x L area at fixed SNR."""
     _check_measure(measure)
     check_positive(L=L, alpha=alpha)
     mus = sorted_points(mu_list, "densities", _check_density)
     if float(mus[0]) * L * L < 1.0:  # L * L overflows to inf where L**2 would raise
         raise ValueError(f"density {float(mus[0])!r} puts fewer than one node on an area of side L = {L!r}")
-    rates = [_operating_point(snr, alpha, 1.0 / math.sqrt(mu), measure, grid)[1] for mu in mus]
+    rates = [_operating_point(snr, alpha, 1.0 / math.sqrt(mu), measure)[1] for mu in mus]
     products = [mu * r for mu, r in zip(mus, rates)]
     top = [p for mu, p in zip(mus, products) if mu >= mus[-1] / 10.0]
     mean_top = sum(top) / len(top)
@@ -356,12 +334,7 @@ class EnergySweep:
     increments: tuple[float, ...]      # total-info gain per successive budget step
 
 
-def sweep_energy_fixed_all(
-    cfg: NetworkConfig,
-    et_list: Sequence[float],
-    measure: str = "kli",
-    grid: int = DEFAULT_GRID,
-) -> EnergySweep:
+def sweep_energy_fixed_all(cfg: NetworkConfig, et_list: Sequence[float], measure: str = "kli") -> EnergySweep:
     """Total information versus total energy at fixed n, dn.
 
     All excess energy above the fixed communication cost goes to sensing.
@@ -376,8 +349,7 @@ def sweep_energy_fixed_all(
             f"total energy {ets[0]:.6g} J is below the communication floor {comm:.6g} J"
         )
     zeta = zeta_from_spacing(PhysicalField(cfg.alpha), cfg.dn)  # one spacing for every budget
-    rate = _MEASURES[measure][0]
-    infos = [cfg.n**2 * rate(cfg.beta * ((et - comm) / cfg.n**2), zeta, grid) for et in ets]
+    infos = [cfg.n**2 * _rate(measure, cfg.beta * ((et - comm) / cfg.n**2), zeta) for et in ets]
     increments = tuple(b - a for a, b in zip(infos, infos[1:]))
     return EnergySweep(et_list=tuple(ets), total_info=tuple(infos), increments=increments)
 
@@ -400,7 +372,6 @@ def optimal_density(
     nu: float,
     measure: str = "kli",
     mu_grid: Sequence[float] | None = None,
-    grid: int = DEFAULT_GRID,
 ) -> DensityOptimum:
     """Density maximizing total information on an L x L area under budget et.
 
@@ -433,7 +404,7 @@ def optimal_density(
         es = (et - comm) / n**2
         if not es > 0.0:
             return -math.inf
-        return n**2 * _operating_point(beta * es, alpha, dn, measure, grid)[1]
+        return n**2 * _operating_point(beta * es, alpha, dn, measure)[1]
 
     infos = np.array([evaluate(mu) for mu in mus])
     feasible = np.isfinite(infos)

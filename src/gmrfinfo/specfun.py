@@ -36,6 +36,25 @@ def _agm(k: float) -> tuple[float, float, float]:
         weight += weight
 
 
+def _agm_array(k: np.ndarray, kp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, 1 - M, E / K) of _agm elementwise in one array pass, given k' = sqrt(1 - k^2) too, so that a
+    caller may take it from 1 - k.  c_{n+1} = c_n^2 / (4 a_{n+1}) from c_1 = k^2 / (2 (1 + k')) neither
+    cancels nor divides by k; all elements iterate until the one of largest k meets _agm's stop rule."""
+    s = 1.0 + kp
+    a, b, c = 0.5 * s, np.sqrt(kp), k * k / (s + s)
+    gap, e_ratio, weight = c, 0.5 * (1.0 + kp * kp), 1.0  # 2^(n-1) c_n^2 = weight c^2
+    slowest = int(np.argmax(k))
+    while True:
+        square = c * c
+        e_ratio = e_ratio - weight * square
+        if c[slowest] <= 5e-11 * gap[slowest]:  # _agm's g <= 1e-10 gap, as 2 c = k g and 1 - M = k gap
+            return 0.5 * (a + b), gap, e_ratio
+        s = a + b
+        a, b, c = 0.5 * s, np.sqrt(a * b), square / (s + s)
+        gap = gap + c
+        weight += weight
+
+
 def elliptic_k(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 

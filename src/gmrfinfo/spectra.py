@@ -153,8 +153,8 @@ def _mirror_half(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _w2_closed_form(zeta: float, w1: np.ndarray, scale: float | np.ndarray, shift: float | np.ndarray
-                    ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray]:
+def _w2_closed_form(zeta: float, w1: np.ndarray, scale: float,
+                    shift: float) -> tuple[np.ndarray, float, np.ndarray]:
     """A, B and s = sqrt(A^2 - B^2) at the nodes w1, where the SFCAR denominator
     scale (1 - 2 zeta (cos w1 + cos w2)) + shift is A - B cos w2 (scale > 0, shift >= 0).
 
@@ -162,8 +162,7 @@ def _w2_closed_form(zeta: float, w1: np.ndarray, scale: float | np.ndarray, shif
     (1/2pi) int cos(h w2) / (A - B cos w2) dw2 = r^|h| / s with r = B / (A + s).
     With t = 4 zeta sin^2(w1 / 2) = 2 zeta (1 - cos w1), A = scale ((1 - 2 zeta) + t) + shift,
     A - B = scale ((1 - 4 zeta) + t) + shift and A + B = scale (1 + t) + shift are sums of
-    nonnegative terms, so s keeps full relative accuracy next to zeta = 1/4.  scale and shift
-    may be arrays that broadcast against w1, for several denominators at once."""
+    nonnegative terms, so s keeps full relative accuracy next to zeta = 1/4."""
     t = 4.0 * zeta * np.sin(0.5 * w1) ** 2
     a = scale * ((1.0 - 2.0 * zeta) + t) + shift
     # a product of square roots, since the product (A - B)(A + B) overflows where A nears 1e154

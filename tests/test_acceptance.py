@@ -86,8 +86,8 @@ def test_a4_ordering_and_high_snr():
     ordered = True
     for snr in np.logspace(-2, 2, 20):
         for zeta in np.linspace(0.0, 0.25, 20):
-            k = gi.kli_rate_sfcar(float(snr), float(zeta), 128)
-            m = gi.mi_rate_sfcar(float(snr), float(zeta), 128)
+            k = gi.kli_rate_sfcar(float(snr), float(zeta))
+            m = gi.mi_rate_sfcar(float(snr), float(zeta))
             if not (0.0 <= k <= m + 1e-15):
                 ordered = False
             if zeta < 0.25 and not k < m:
@@ -143,7 +143,7 @@ def test_a6_optimal_zeta_transition():
 def test_a7_monte_carlo_llr_limit():
     results = []
     cases = {(0.0, 1.0): gi.stein_kli(1.0),
-             (0.1, 10.0): gi.kli_rate_sfcar(10.0, 0.1, 512)}
+             (0.1, 10.0): gi.kli_rate_sfcar(10.0, 0.1)}
     for (zeta, snr), target in cases.items():
         report = gi.mc_kli_estimate(gi.sfcar_for_snr(snr, zeta), 1.0, 64, 500, seed=1729)
         tol = max(3 * report.std_error, 0.05 * target)
@@ -152,7 +152,7 @@ def test_a7_monte_carlo_llr_limit():
                         f"dev {dev:.2e} tol {tol:.2e}"))
 
     model = gi.sfcar_for_snr(10.0, 0.1)
-    target = gi.kli_rate_sfcar(10.0, 0.1, 512)
+    target = gi.kli_rate_sfcar(10.0, 0.1)
     dev64 = np.mean([abs(gi.mc_kli_estimate(model, 1.0, 64, 200, seed=s).mean - target)
                      for s in range(5)])
     dev128 = np.mean([abs(gi.mc_kli_estimate(model, 1.0, 128, 200, seed=s).mean - target)

@@ -64,6 +64,7 @@ class TestRates:
         code, out, err = run(capsys, "rates", "--snr-db", "10", "--zeta", "0.1")
         assert code == 0
         assert "kli=" in out and "mi=" in out and "quad_error=" in out
+        assert "grid=" not in out
 
     def test_rerun_identical(self, capsys):
         _, out1, _ = run(capsys, "rates", "--snr-db", "10", "--zeta", "0.1")
@@ -113,7 +114,7 @@ class TestMetadata:
         meta = json.loads((tmp_path / "rates.csv.meta.json").read_text())
         assert meta["command"] == "rates"
         assert meta["config"]["zeta"] == 0.05
-        assert meta["config"]["grid"] == 512
+        assert "grid" not in meta["config"]  # the rates have no quadrature knob
         assert "version" in meta
 
     def test_mc_verify_sidecar_records_seed(self, capsys, tmp_path):
@@ -135,9 +136,9 @@ class TestMetadata:
         assert meta["mu_star"] > 0
 
     @pytest.mark.parametrize("argv,nulls", [
-        (["spacing", "--snr-db", "0", "--dn-min", "700", "--dn-max", "800", "--points", "3",
-          "--grid", "16"], ["gap_fit_slope", "alpha_estimate"]),
-        (["density", "--snr-linear", "0", "--grid", "16"], ["plateau_variation"]),
+        (["spacing", "--snr-db", "0", "--dn-min", "700", "--dn-max", "800", "--points", "3"],
+         ["gap_fit_slope", "alpha_estimate"]),
+        (["density", "--snr-linear", "0"], ["plateau_variation"]),
     ])
     def test_nonfinite_extras_are_null(self, capsys, tmp_path, argv, nulls):
         def reject(token):
@@ -255,14 +256,14 @@ def _float_flags():
 class TestErrorPaths:
     @pytest.mark.parametrize("command", sorted(BASE_ARGV))
     def test_base_argv_runs(self, capsys, command):
-        code, err = run_exit(capsys, command, *BASE_ARGV[command], "--grid", "16")
+        code, err = run_exit(capsys, command, *BASE_ARGV[command])
         assert code == 0, err
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # linspace of inf
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command,flag", _float_flags())
     def test_nonfinite_float_flag_is_error(self, capsys, command, flag, value):
-        code, err = run_exit(capsys, command, *BASE_ARGV[command], "--grid", "16", f"{flag}={value}")
+        code, err = run_exit(capsys, command, *BASE_ARGV[command], f"{flag}={value}")
         assert code == 2
         assert any(line.startswith("error:") for line in err.splitlines()), err
 
@@ -274,7 +275,7 @@ class TestErrorPaths:
         (["optimal-zeta", "--snr-db-min", "inf"], "--snr-db-min must be finite, got inf"),
         (["optimal-zeta", "--snr-db-max=-inf"], "--snr-db-max must be finite, got -inf"),
         (["rates", "--snr-db=-inf", "--zeta", "0.1"], "--snr-db must be finite, got -inf"),
-        (["rates", "--snr-db", "0", "--zeta", "0.1", "--grid", "0"], "grid must be >= 1, got 0"),
+        (["rates", "--snr-db", "0", "--zeta", "0.1", "--grid", "16"], "unrecognized arguments: --grid 16"),
         (["density", "--snr-db", "0", "--L", "nan"], "L must be finite, got nan"),
         (["density", "--snr-db", "0", "--mu-min", "0"], "--mu-min must be positive, got 0.0"),
         (["optimal-density", "--L", "2", "--Et", "50", "--alpha", "100", "--beta", "1",
@@ -297,10 +298,10 @@ class TestErrorPaths:
         assert captured.err == f"error: {message}\n"
 
     def test_spacing_at_zero_snr_runs(self, capfd):
-        assert main(["spacing", "--snr-linear", "0", "--points", "3", "--grid", "16"]) == 0
+        assert main(["spacing", "--snr-linear", "0", "--points", "3"]) == 0
         assert capfd.readouterr().err == ""
 
-    @pytest.mark.parametrize("flag", ["--grid", "--points"])
+    @pytest.mark.parametrize("flag", ["--points"])
     def test_huge_integer_flag_is_an_error_line(self, capfd, flag):
         # an int too large for a float still passes the finite check and fails as a size
         code = main(["sweep-zeta", "--snr-db", "0", "--points", "3", flag, "1" + "0" * 400])
@@ -371,7 +372,7 @@ class TestErrorPaths:
 
     @pytest.mark.filterwarnings("error")
     def test_repeated_side_is_one_error_line(self, capfd):
-        code = main(["scaling", "--n-list", "33", "33", "--grid", "16"])
+        code = main(["scaling", "--n-list", "33", "33"])
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -385,7 +386,7 @@ class TestErrorPaths:
           "--E0", "0.1", "--nu", "2", "--points", "3"], "no density satisfies the energy constraint"),
     ])
     def test_overflowing_energy_is_one_error_line(self, capfd, argv, message):
-        code = main([*argv, "--grid", "8"])
+        code = main(argv)
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -397,7 +398,7 @@ class TestErrorPaths:
         ["scaling", "--n-list", str(10**113), "9"],
     ])
     def test_overflowing_side_is_one_error_line(self, capfd, argv):
-        code = main([*argv, "--grid", "8"])
+        code = main(argv)
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -407,7 +408,7 @@ class TestErrorPaths:
         # --L only bounds the one-node check, so --L 1e200 writes the --L 4 rows
         paths = [tmp_path / f"{side}.csv" for side in ("4", "1e200")]
         for path in paths:
-            assert main(["density", "--snr-db", "0", "--L", path.stem, "--grid", "8", "--points", "3",
+            assert main(["density", "--snr-db", "0", "--L", path.stem, "--points", "3",
                          "--output", str(path)]) == 0
         assert capfd.readouterr().err == ""
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -448,7 +449,7 @@ class TestErrorPaths:
         assert "mc mean=" in out and "target=" in out
 
 
-# BASE_ARGV as --config objects, with the grid of the cheap runs
+# BASE_ARGV as --config objects
 BASE_CONFIG = {
     "rates": {"snr_db": 0, "zeta": 0.1},
     "sweep-zeta": {"snr_db": 0, "points": 3},
@@ -480,15 +481,14 @@ class TestConfigAsFlags:
 
     @pytest.mark.parametrize("command", sorted(BASE_ARGV))
     def test_config_matches_flags(self, capfd, tmp_path, command):
-        typed = self.outputs(capfd, tmp_path, "typed", command, *BASE_ARGV[command], "--grid", "16")
-        filed = self.outputs(capfd, tmp_path, "filed", command,
-                             config={**BASE_CONFIG[command], "grid": 16})
+        typed = self.outputs(capfd, tmp_path, "typed", command, *BASE_ARGV[command])
+        filed = self.outputs(capfd, tmp_path, "filed", command, config=BASE_CONFIG[command])
         assert filed == typed
 
     @pytest.mark.parametrize("command", sorted(BASE_ARGV))
     def test_sidecar_config_round_trips(self, capfd, tmp_path, command):
         typed = tmp_path / "typed.csv"
-        assert main([command, *BASE_ARGV[command], "--grid", "16", "--output", str(typed)]) == 0
+        assert main([command, *BASE_ARGV[command], "--output", str(typed)]) == 0
         config = json.loads((tmp_path / "typed.csv.meta.json").read_text())["config"]
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         again = tmp_path / "again.csv"
@@ -501,11 +501,21 @@ class TestConfigAsFlags:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(
             json.dumps({"snr_db": 0, "snr_linear": None, "zeta": 0.1, "output": None}))
-        assert main(["rates", "--config", "cfg.json", "--grid", "8"]) == 0
+        assert main(["rates", "--config", "cfg.json"]) == 0
         filed = capfd.readouterr().out
-        assert main(["rates", "--snr-db", "0", "--zeta", "0.1", "--grid", "8"]) == 0
+        assert main(["rates", "--snr-db", "0", "--zeta", "0.1"]) == 0
         assert filed == capfd.readouterr().out
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_grid_key_is_unknown(self, capfd, tmp_path):
+        # the rates take no quadrature knob, so a grid key is an error, not ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr_db": 0, "zeta": 0.1, "grid": 512}))
+        code = main(["rates", "--config", str(cfg)])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: unknown config key(s) for rates: grid\n"
 
     def test_nested_config_is_one_error_line(self, capfd, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -517,7 +527,7 @@ class TestConfigAsFlags:
         assert captured.err == f"error: config file {cfg} sets config; config files do not nest\n"
 
     def test_switch_takes_true_or_false(self, capfd, tmp_path):
-        argv = ("scaling", "--n-list", "9", "17", "--grid", "16")
+        argv = ("scaling", "--n-list", "9", "17")
         on = self.outputs(capfd, tmp_path, "on", *argv, "--fusion")
         off = self.outputs(capfd, tmp_path, "off", *argv)
         assert on != off
@@ -542,12 +552,11 @@ class TestConfigAsFlags:
         ("scaling", {"n_list": []}, "--n-list", "expected at least one argument"),
         ("scaling", {"n_list": ["9", "17", "--fusion"]}, "--n-list", "invalid int value"),
         ("scaling", {"measure": "bogus"}, "--measure", "invalid choice"),
-        ("rates", {"snr_db": 0, "zeta": 0.1, "grid": 64.0}, "--grid", "invalid int value"),
     ])
     def test_bad_value_is_one_error_line(self, capfd, tmp_path, command, config, flag, reason):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code = main([command, "--config", str(cfg), "--grid", "16"])  # a file's value is parsed too
+        code = main([command, "--config", str(cfg)])
         captured = capfd.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -565,7 +574,7 @@ class TestConfigAsFlags:
 class TestOptimalZetaRange:
     def rows(self, capsys, tmp_path, *argv):
         path = tmp_path / "oz.csv"
-        code, _, err = run(capsys, "optimal-zeta", *argv, "--grid", "8", "--output", str(path))
+        code, _, err = run(capsys, "optimal-zeta", *argv, "--output", str(path))
         assert code == 0, err
         return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True)["snr_db"])
 
@@ -586,8 +595,7 @@ class TestOptimalZetaRange:
 class TestAllCommands:
     @pytest.mark.parametrize("argv", [
         ["sweep-snr", "--zeta", "0.1", "--points", "5"],
-        ["optimal-zeta", "--snr-db-min", "2", "--snr-db-max", "4", "--step-db", "1",
-         "--grid", "128"],
+        ["optimal-zeta", "--snr-db-min", "2", "--snr-db-max", "4", "--step-db", "1"],
         ["scaling", "--n-list", "17", "33", "65"],
         ["scaling", "--n-list", "17", "33", "65", "--fusion"],
         ["spacing", "--snr-db", "10", "--points", "5"],

@@ -165,7 +165,7 @@ class TestMcKli:
 
     def test_correlated_case_hits_quadrature(self):
         report = mc_kli_estimate(sfcar_for_snr(10.0, 0.1), 1.0, 64, 500, seed=1729)
-        target = kli_rate_sfcar(10.0, 0.1, 512)
+        target = kli_rate_sfcar(10.0, 0.1)
         tol = max(3 * report.std_error, 0.05 * target)
         assert abs(report.mean - target) <= tol
 
@@ -177,7 +177,7 @@ class TestMcKli:
 
     def test_bias_shrinks_with_n(self):
         model = sfcar_for_snr(10.0, 0.1)
-        target = kli_rate_sfcar(10.0, 0.1, 512)
+        target = kli_rate_sfcar(10.0, 0.1)
         dev64 = np.mean([abs(mc_kli_estimate(model, 1.0, 64, 200, seed=s).mean - target)
                          for s in range(5)])
         dev128 = np.mean([abs(mc_kli_estimate(model, 1.0, 128, 200, seed=s).mean - target)
@@ -416,8 +416,8 @@ class TestClosedFormW2:
         model = sfcar_for_snr(snr, zeta, sigma2)
         logdet, quadform = _hidden_limits(model, sigma2)
         assert logdet == pytest.approx(grid_mean(model, sigma2, np.log), rel=1e-13, abs=0.0)
-        # the log-det limit is log sigma^2 + 2 MI, with MI from the rate kernel on the same w1 nodes
-        mi = mi_rate_sfcar(measurement_snr(model, sigma2), zeta, 1024)
+        # the log-det limit is log sigma^2 + 2 MI, with MI from the rate kernel
+        mi = mi_rate_sfcar(measurement_snr(model, sigma2), zeta)
         assert logdet == pytest.approx(math.log(sigma2) + 2.0 * mi, rel=1e-13, abs=0.0)
         assert quadform == pytest.approx(grid_mean(model, sigma2, lambda lam: sigma2 / lam),
                                          rel=1e-13, abs=0.0)

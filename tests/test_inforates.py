@@ -1,8 +1,9 @@
 """Information-rate integrals: closed-form reductions, route consistency,
 small/large SNR laws, ordering, and the optimal edge dependence."""
 
-import functools
 import math
+import re
+import warnings
 import tracemalloc
 
 import mpmath
@@ -15,6 +16,7 @@ from scipy import integrate, optimize, special
 from gmrfinfo import inforates
 from gmrfinfo.inforates import (
     _sfcar_rates,
+    _sfcar_rules,
     kli_rate_general,
     kli_rate_sfcar,
     low_snr_constants,
@@ -24,8 +26,9 @@ from gmrfinfo.inforates import (
     sfcar_info_rates,
     stein_kli,
 )
-from gmrfinfo.spectra import (SpectralDensity, constant_spectrum, hidden_spectrum, omega_grid, sfcar_for_snr,
-                              sfcar_spectrum)
+from gmrfinfo.specfun import _agm_array
+from gmrfinfo.spectra import (InvalidModelError, SpectralDensity, constant_spectrum, hidden_spectrum, omega_grid,
+                              sfcar_for_snr, sfcar_spectrum)
 
 FOUR_PI2 = 4.0 * math.pi**2
 
@@ -46,51 +49,12 @@ def c3_grid(zeta: float, grid: int = 2048) -> float:
 mpmath.mp.dps = 40
 
 
-@functools.lru_cache(maxsize=None)
-def mp_cosines(grid: int) -> tuple:
-    """cos w at the nodes 0..grid // 2 of omega_grid(grid), at 40 digits, and their weights in a
-    mean over all grid nodes (node grid - i has the cosine of node i)."""
-    cos = tuple(mpmath.cos(-mpmath.pi + 2 * mpmath.pi * i / grid) for i in range(grid // 2 + 1))
-    weights = [2] * len(cos)
-    weights[0] = 1
-    if grid % 2 == 0:
-        weights[-1] = 1
-    return cos, tuple(weights)
-
-
-def mp_line_rule(snr: float, zeta: float, grid: int) -> tuple:
-    """(KLI, MI) of the SFCAR line rule at 40 digits: the grid-node means over w1 of the exact w2
-    integrals.  With A - B cos w2 the denominator, s = sqrt(A^2 - B^2), the w2 mean of
-    log(A - B cos w2) is log((A + s) / 2), and its A-derivative 1 / s is the mean of the reciprocal."""
-    snr, zeta = mpmath.mpf(snr), mpmath.mpf(zeta)
-    q = 2 / mpmath.pi * mpmath.ellipk(16 * zeta**2)
-    b = 2 * zeta * q
-    cos, weights = mp_cosines(grid)
-
-    def row(a):  # (mean log, mean reciprocal) over w2
-        s = mpmath.sqrt(a * a - b * b)
-        return mpmath.log((a + s) / 2), 1 / s
-
-    kli = mi = mpmath.mpf(0)
-    for c, w in zip(cos, weights):
-        a = q * (1 - 2 * zeta * c)
-        (log0, _), (log1, inv1) = row(a), row(a + snr)
-        mi += w * (log1 - log0)
-        kli += w * (log1 - log0 - snr * inv1)
-    return kli / (2 * grid), mi / (2 * grid)
-
-
-def reference_sfcar_rates(snr: float, zeta: float, grid: int) -> tuple[float, float]:
-    """(KLI, MI) of the line rule at 40 digits, rounded."""
-    if snr == 0.0 or zeta == 0.25:
-        return 0.0, 0.0
-    return tuple(float(v) for v in mp_line_rule(snr, zeta, grid))
-
-
 def line_integrands(w: float, snr: float, delta: float) -> tuple[float, float]:
     """The w1 integrands 2 KLI and 2 MI of the exact w2 integrals at zeta = 1/4 - delta, in
     floats, with q from scipy's ellipkm1 and A - B = q (4 delta + t) taken from delta.  The KLI
-    integrand is (log1p(x) - x) + (x - snr / s1), the second part as one quotient."""
+    integrand is log1p(x) - snr / s1, summed for x < 1 as (log1p(x) - x) + (x - snr / s1), the
+    second part as one quotient, since both terms there cancel like x^2 / 2 (and for x >= 1 the
+    split would cancel instead, like x)."""
     zeta = 0.25 - delta
     t = 4.0 * zeta * math.sin(0.5 * w) ** 2
     sq = snr / ((2.0 / math.pi) * special.ellipkm1(4.0 * delta * (1.0 + 4.0 * zeta)))
@@ -101,6 +65,8 @@ def line_integrands(w: float, snr: float, delta: float) -> tuple[float, float]:
     s01 = s0 + s1
     x = sq * (1.0 + (a + a1) / s01) / (a + s0)
     gap = sq * sq * (a + a1 + s0 + a1 * (a + a1) / s01) / (s01 * (a + s0) * s1)
+    if x >= 1.0:
+        return math.log1p(x) - sq / s1, math.log1p(x)
     log_gap = -sum((-x) ** k / k for k in range(2, 20)) if x < 0.05 else math.log1p(x) - x
     return log_gap + gap, math.log1p(x)
 
@@ -141,7 +107,7 @@ class TestStein:
         assert stein_kli(1.0) == pytest.approx(0.5 * math.log(2.0) - 0.25, rel=1e-15)
 
     def test_matches_flat_quadrature(self):
-        assert kli_rate_sfcar(10.0, 0.0, 512) == pytest.approx(stein_kli(10.0), abs=1e-9)
+        assert kli_rate_sfcar(10.0, 0.0) == pytest.approx(stein_kli(10.0), abs=1e-9)
 
     @pytest.mark.parametrize("snr,message", [(math.nan, "snr must be finite, got nan"),
                                              (math.inf, "snr must be finite, got inf"),
@@ -168,13 +134,8 @@ class TestSfcarRates:
         assert kli_rate_sfcar(0.0, zeta) == 0.0
         assert mi_rate_sfcar(0.0, zeta) == 0.0
 
-    def test_grid_self_convergence(self):
-        assert mi_rate_sfcar(10.0, 0.1, 512) == pytest.approx(
-            mi_rate_sfcar(10.0, 0.1, 1024), abs=1e-6)
-
     def test_info_rate_result(self):
-        res = sfcar_info_rates(10.0, 0.1, 256)
-        assert res.grid == 256
+        res = sfcar_info_rates(10.0, 0.1)
         assert 0.0 <= res.kli <= res.mi
         assert res.quad_error_estimate >= 0.0
         assert res.quad_error_estimate < 1e-8
@@ -194,20 +155,13 @@ class TestSfcarRates:
             with pytest.raises(ValueError, match="snr must be finite"):
                 kli_rate_sfcar(snr, 0.1)
 
-    @pytest.mark.parametrize("rate", [kli_rate_sfcar, mi_rate_sfcar, sfcar_info_rates])
-    @pytest.mark.parametrize("grid", [0, -1])
-    def test_empty_grid_rejected(self, rate, grid):
-        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}"):
-            rate(1.0, 0.1, grid)
-
     @pytest.mark.parametrize("snr,zeta", [(1.0, 0.1), (0.5, 0.25 - 1e-6), (1e-3, 0.2),
                                           (1e6, 0.1), (1e-3, 0.25 - 1e-6), (1e6, 0.25 - 1e-6),
                                           (0.0, 0.1), (1.0, 0.25)])
     def test_single_rates_match_shared_kernel_bitwise(self, snr, zeta):
-        for grid in (256, 512):
-            res = sfcar_info_rates(snr, zeta, grid)
-            assert kli_rate_sfcar(snr, zeta, grid) == res.kli
-            assert mi_rate_sfcar(snr, zeta, grid) == res.mi
+        res = sfcar_info_rates(snr, zeta)
+        assert kli_rate_sfcar(snr, zeta) == res.kli
+        assert mi_rate_sfcar(snr, zeta) == res.mi
 
 
 class TestWeakCorrelation:
@@ -224,77 +178,53 @@ class TestWeakCorrelation:
     @pytest.mark.parametrize("snr", [0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("zeta", [3e-3, 1e-2, 3e-2])  # at 1e-3 rounding outweighs zeta^6
     def test_matches_fourth_order_expansion(self, snr, zeta):
-        base = _sfcar_rates(snr, 0.0, 512)
-        for rate, rate0, (c2, c4) in zip(_sfcar_rates(snr, zeta, 512), base, self.coefficients(snr)):
+        base = _sfcar_rates(snr, 0.0)
+        for rate, rate0, (c2, c4) in zip(_sfcar_rates(snr, zeta), base, self.coefficients(snr)):
             # the residual is a stable multiple of zeta^6, at most about 90 zeta^6; at snr 1 the
             # KLI c2 is 0, so this pins the fourth-order onset there
             assert abs(rate - rate0 - (c2 * zeta**2 + c4 * zeta**4)) <= 100.0 * zeta**6
 
 
 class TestSinglePass:
-    ZETAS = (0.0, 0.1, 0.24, 0.25 - 1e-6, 0.25 - 4.5e-13, 0.25)
+    """Both Gauss-Legendre rules of a call, n nodes and the 2n of the error bar, go through one
+    AGM pass over all their nodes."""
 
-    @staticmethod
-    def snrs(grid):
-        rng = np.random.default_rng(grid)
-        return [0.0, 1e-6, 1e6, *(10.0 ** rng.uniform(-6.0, 6.0, 5))]
+    def test_one_agm_pass_per_call(self, monkeypatch):
+        sizes = []
 
-    @staticmethod
-    def assert_agrees(snr, zeta, grid):
-        # against the 40-digit rule: MI within 1e-15 relative, and KLI within 1e-15 of MI,
-        # since the KLI integrand cancels like a^2 / 2 at small snr
-        kli, mi = _sfcar_rates(snr, zeta, grid)
-        kli_ref, mi_ref = reference_sfcar_rates(snr, zeta, grid)
-        assert abs(mi - mi_ref) <= 1e-15 * mi_ref, (snr, zeta, grid)
-        assert abs(kli - kli_ref) <= 1e-15 * mi_ref, (snr, zeta, grid)
+        def counted(k, kp):
+            sizes.append(len(k))
+            return _agm_array(k, kp)
 
-    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 7, 16, 33, 64, 65, 512, 1024])
-    def test_agrees_with_full_grid(self, grid):
-        # the reference sums the same w1 nodes at 40 digits; snr = 0 and zeta = 1/4 are among the
-        # cases, where MI = 0 makes the bounds exact
-        for snr in [*self.snrs(grid), 0.008]:
-            for zeta in self.ZETAS:
-                self.assert_agrees(snr, zeta, grid)
-
-    @pytest.mark.parametrize("grid", [1, 3, 7, 16])
-    def test_small_snr_kli_keeps_relative_accuracy(self, grid):
-        # the KLI integrand cancels like a^2 / 2 at small snr, so it is summed from snr^2 terms;
-        # a 2-D pass lost up to 2e-9 of the KLI here
-        for snr in (1e-6, 1e-4):
-            for zeta in (0.1, 0.2, 0.2499, 0.25 - 1e-8):
-                kli_ref = reference_sfcar_rates(snr, zeta, grid)[0]
-                kli = _sfcar_rates(snr, zeta, grid)[0]
-                assert kli == pytest.approx(kli_ref, rel=1e-14, abs=0.0), (snr, zeta)
-
-    @settings(max_examples=300, deadline=None)
-    @given(grid=st.integers(min_value=1, max_value=129),
-           snr=st.floats(min_value=-8.0, max_value=7.0).map(lambda e: 10.0**e),
-           zeta=st.one_of(st.floats(min_value=0.0, max_value=0.25),
-                          st.floats(min_value=-13.0, max_value=-1.0).map(lambda e: 0.25 - 10.0**e),
-                          st.floats(min_value=-9.0, max_value=-2.0).map(lambda e: 10.0**e)))
-    def test_agrees_with_full_grid_property(self, grid, snr, zeta):
-        self.assert_agrees(snr, zeta, grid)
+        monkeypatch.setattr(inforates, "_agm_array", counted)
+        for snr, zeta in ((1.0, 0.1), (1e-3, 0.25 - 1e-6), (1e12, 0.25 - 2.0**-55)):
+            sizes.clear()
+            sfcar_info_rates(snr, zeta)
+            kli_rate_sfcar(snr, zeta)
+            assert len(sizes) == 2 and sizes[0] == 3 * sizes[1], sizes
 
     def test_keeps_no_memory(self):
-        # the pass is one-dimensional: a 2-D grid pass at 4096 allocates about 34 MB
-        _sfcar_rates(10.0, 0.2, 8)  # numpy's first-call set-up stays outside the traced call
+        # the pass holds a few dozen arrays of 3n doubles: here n = 192, the largest rule the
+        # tests reach (SNR 1e12 at 1/4 - zeta = 2^-55); the cached nodes are built outside the
+        # traced call, and nothing is kept
+        snr, zeta = 1e12, 0.25 - 2.0**-55
+        sfcar_info_rates(snr, zeta)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _sfcar_rates(1.0, 0.2, 4096)
+            sfcar_info_rates(snr, zeta)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert after - before < 2**16
-        assert peak - before < 2**20
+        assert after - before < 2**12
+        assert peak - before < 2**18  # 80 KiB measured
 
 
 class TestNextToQuarter:
-    """The default-grid rates against the line integrals next to zeta = 1/4, where the uniform
-    w1 rule needs O(1 / sqrt(1/4 - zeta)) nodes.  GRID_RULE_ERROR holds the relative errors
-    (KLI, MI) of the 2-D grid-512 rule, the w2 rule's aliasing terms included, against
-    quad_reference; the line rule has to stay below 0.6 of them, so a return of the 2-D node
-    error fails."""
+    """The rates against the line integrals next to zeta = 1/4, where a uniform w1 rule needs
+    O(1 / sqrt(1/4 - zeta)) nodes.  GRID_RULE_ERROR holds the relative errors (KLI, MI) of the
+    former 2-D grid-512 rule, the w2 rule's aliasing terms included, against quad_reference;
+    the rates have to stay below 0.6 of them, so a return of the 2-D node error fails."""
 
     GRID_RULE_ERROR = {
         (1e-5, 1e-3): (4.64e-4, 2.94e-5), (1e-5, 1.0): (2.90e-7, 7.50e-8), (1e-5, 1e3): (5.48e-9, 4.54e-9),
@@ -307,12 +237,10 @@ class TestNextToQuarter:
     @pytest.mark.parametrize("delta,snr", sorted(GRID_RULE_ERROR))
     def test_closer_than_grid_rule(self, delta, snr):
         zeta = 0.25 - delta
-        rates = _sfcar_rates(snr, zeta, 512)
+        rates = _sfcar_rates(snr, zeta)
         for rate, ref, grid_rule in zip(rates, quad_reference(snr, zeta), self.GRID_RULE_ERROR[delta, snr]):
             assert abs(rate - ref) < 0.6 * grid_rule * ref, (rate, ref)
 
-    @pytest.mark.xfail(strict=True, reason="quad_error_estimate is the gap to the rule at 2 x grid, "
-                       "which the slowly converging uniform w1 rule next to 1/4 leaves below the true error")
     @pytest.mark.parametrize("delta", [4.5e-13, 1e-8, 1e-6])
     @pytest.mark.parametrize("snr", [1e-3, 1.0, 1e3])
     def test_error_estimate_covers_true_error(self, delta, snr):
@@ -324,6 +252,56 @@ class TestNextToQuarter:
     def test_quad_reference_matches_mpmath(self, delta, snr):
         for ref, exact in zip(quad_reference(snr, 0.25 - delta), mp_line_integral(snr, 0.25 - delta)):
             assert ref == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+def agreement_points() -> list[tuple[float, float]]:
+    """1,000 seeded (snr, zeta), SNR log-uniform in [1e-10, 1e12] and 1/4 - zeta log-uniform in
+    [2^-55, 1/4], then the low-SNR points next to 1/4 where the former w1 rule was 3.6-25x high."""
+    rng = np.random.default_rng(20261020)
+    snrs = 10.0 ** rng.uniform(-10.0, 12.0, 1000)
+    deltas = 2.0 ** rng.uniform(-55.0, -2.0, 1000)
+    return [(float(s), 0.25 - float(d)) for s, d in zip(snrs, deltas)] + FORMER_WORST
+
+
+# (snr, zeta) where the former w1 rule's KLI was 24.5x, 16x and 3.6x high
+FORMER_WORST = [(5.2e-8, 0.25 - 2.7e-9), (8.1e-7, 0.25 - 2.1e-10), (2.8e-5, 0.25 - 4.5e-13)]
+
+
+class TestKernelAgreement:
+    def test_matches_quad_reference(self):
+        # the error bar covers the gap to the reference too, whose own error is about 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # quad's warnings would flag a reference unfit to trust
+            for snr, zeta in agreement_points():
+                result = sfcar_info_rates(snr, zeta)
+                kli, mi = quad_reference(snr, zeta)
+                assert abs(result.kli - kli) <= 1e-13 * kli, (snr, zeta, result.kli, kli)
+                assert abs(result.mi - mi) <= 1e-13 * mi, (snr, zeta, result.mi, mi)
+                assert result.quad_error_estimate >= max(abs(result.kli - kli), abs(result.mi - mi))
+
+    @pytest.mark.parametrize("snr,zeta", [*FORMER_WORST, (1e12, 0.25 - 2.0**-55), (1e-10, 0.25 - 2.0**-55),
+                                          (3.0, 0.1)])
+    def test_matches_mpmath(self, snr, zeta):
+        for rate, exact in zip(_sfcar_rates(snr, zeta), mp_line_integral(snr, zeta)):
+            assert rate == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(snr=st.floats(min_value=-2.0, max_value=8.0).map(lambda e: 10.0**e),
+           zeta=st.floats(min_value=0.0, max_value=0.24))
+    def test_matches_general_rates_property(self, snr, zeta):
+        # where 1/4 - zeta >= 1e-2 the 2-D grid-512 rule is exact to rounding; below SNR 1e-2 the
+        # general KLI's log r - (1 - 1/r) cancels past 1e-12
+        f = sfcar_spectrum(sfcar_for_snr(snr, zeta))
+        general = kli_rate_general(hidden_spectrum(f, 1.0), 1.0, 512), mi_rate_general(f, 1.0, 512)
+        for rate, expected in zip(_sfcar_rates(snr, zeta), general):
+            assert rate == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_rules_agree(self):
+        # the n-node rule already sits at rounding level, so the 2n-node rule moves it by ulps
+        for snr, zeta in agreement_points()[:200]:
+            coarse, fine = _sfcar_rules(snr, zeta, True)
+            for a, b in zip(coarse, fine):
+                assert a == pytest.approx(b, rel=1e-14, abs=0.0), (snr, zeta)
 
 
 class TestGeneralRates:
@@ -343,7 +321,7 @@ class TestGeneralRates:
         model = sfcar_for_snr(snr, zeta)
         f1 = hidden_spectrum(sfcar_spectrum(model), 1.0)
         assert kli_rate_general(f1, 1.0, 512) == pytest.approx(
-            kli_rate_sfcar(snr, zeta, 512), abs=1e-10)
+            kli_rate_sfcar(snr, zeta), abs=1e-10)
 
     def test_mi_zero_signal(self):
         assert mi_rate_general(constant_spectrum(0.0), 1.0, 128) == 0.0
@@ -358,7 +336,21 @@ class TestGeneralRates:
         snr, zeta = 10.0, 0.1
         model = sfcar_for_snr(snr, zeta)
         assert mi_rate_general(sfcar_spectrum(model), 1.0, 512) == pytest.approx(
-            mi_rate_sfcar(snr, zeta, 512), abs=1e-10)
+            mi_rate_sfcar(snr, zeta), abs=1e-10)
+
+    # r(w) = g / (1 - 2 zeta cos w) on the 1-D lattice: MI = log((c1 + s1) / (1 + s0)) / 2 and
+    # KLI = MI - g / (2 s1), c1 = 1 + g, s1 = sqrt(c1^2 - 4 zeta^2), s0 = sqrt(1 - 4 zeta^2).  The
+    # rectangle rule's error falls like (2 zeta / (1 + s0))^grid, 3e-7 at zeta = 0.45 and grid 32
+    @pytest.mark.parametrize("g,zeta", [(0.5, 0.1), (1.0, 0.3), (10.0, 0.45), (0.5, 0.45), (100.0, 0.25)])
+    @pytest.mark.parametrize("grid,tol", [(32, 1e-6), (64, 1e-13), (128, 4e-15), (512, 4e-15)])
+    def test_one_dimensional_closed_form(self, g, zeta, grid, tol):
+        spec = SpectralDensity(lambda w: g / (2.0 * math.pi * (1.0 - 2.0 * zeta * np.cos(w))), dim=1)
+        c1 = 1.0 + g
+        s1, s0 = math.sqrt(c1 * c1 - 4.0 * zeta * zeta), math.sqrt(1.0 - 4.0 * zeta * zeta)
+        mi = 0.5 * math.log((c1 + s1) / (1.0 + s0))
+        assert mi_rate_general(spec, 1.0, grid) == pytest.approx(mi, rel=tol, abs=0.0)
+        assert kli_rate_general(hidden_spectrum(spec, 1.0), 1.0, grid) == pytest.approx(
+            mi - g / (2.0 * s1), rel=tol, abs=0.0)
 
     def test_three_dimensional_flat(self):
         f1 = constant_spectrum(2.0 / (2 * math.pi) ** 3, dim=3)
@@ -466,9 +458,21 @@ class TestLowSnr:
             assert 0.0 < c.c3 < math.inf
             assert 0.0 < c.c3_prime < math.inf
 
-    def test_near_singular_rejected(self):
-        with pytest.raises(ValueError):
-            low_snr_constants(0.24995)
+    def test_singular_rejected(self):
+        message = r"^zeta must lie in \[0, 1/4\) for c3, which diverges at 1/4, got "
+        for zeta in (0.25, math.nan, -0.1):
+            with pytest.raises(InvalidModelError, match=message + re.escape(repr(zeta)) + "$"):
+                low_snr_constants(zeta)
+
+    # c3 = pi E(k) / (8 (1 - k^2) K(k)^2), k = 4 zeta, with 1 - k^2 = 4 delta (1 + 4 zeta) exact
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 2.0**-55])
+    def test_c3_matches_mpmath(self, delta):
+        zeta = 0.25 - delta
+        with mpmath.workdps(30):
+            z = mpmath.mpf(zeta)
+            m = 1 - 4 * (mpmath.mpf(0.25) - z) * (1 + 4 * z)  # k^2
+            c3 = mpmath.pi * mpmath.ellipe(m) / (8 * (1 - m) * mpmath.ellipk(m) ** 2)
+        assert low_snr_constants(zeta).c3 == pytest.approx(float(c3), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("zeta", [0.0, 0.05, 0.1, 0.2, 0.24, 0.249])
     def test_closed_form_matches_grid(self, zeta):
@@ -483,8 +487,8 @@ class TestOrderingAndHighSnr:
         zetas = np.linspace(0.0, 0.25, 20)
         for snr in snrs:
             for zeta in zetas:
-                k = kli_rate_sfcar(float(snr), float(zeta), 128)
-                m = mi_rate_sfcar(float(snr), float(zeta), 128)
+                k = kli_rate_sfcar(float(snr), float(zeta))
+                m = mi_rate_sfcar(float(snr), float(zeta))
                 assert 0.0 <= k <= m + 1e-15
                 if zeta < 0.25:
                     assert k < m
@@ -492,8 +496,8 @@ class TestOrderingAndHighSnr:
     @settings(max_examples=100)
     @given(SNRS, ZETAS)
     def test_kli_between_zero_and_mi_property(self, snr, zeta):
-        k = kli_rate_sfcar(snr, zeta, 32)
-        m = mi_rate_sfcar(snr, zeta, 32)
+        k = kli_rate_sfcar(snr, zeta)
+        m = mi_rate_sfcar(snr, zeta)
         assert 0.0 <= k <= m
 
     @settings(max_examples=100)
@@ -501,8 +505,8 @@ class TestOrderingAndHighSnr:
     def test_nondecreasing_in_snr_property(self, snr, log10_step, zeta):
         # steps of at least 1e-3 decades stay far above the kernel's rounding
         higher = min(snr * 10.0**log10_step, 1e6)
-        assert kli_rate_sfcar(higher, zeta, 32) >= kli_rate_sfcar(snr, zeta, 32)
-        assert mi_rate_sfcar(higher, zeta, 32) >= mi_rate_sfcar(snr, zeta, 32)
+        assert kli_rate_sfcar(higher, zeta) >= kli_rate_sfcar(snr, zeta)
+        assert mi_rate_sfcar(higher, zeta) >= mi_rate_sfcar(snr, zeta)
 
     def test_monotone_in_snr(self):
         for zeta in (0.0, 0.12, 0.24):
@@ -529,7 +533,7 @@ class TestOrderingAndHighSnr:
     )
     def test_near_quarter_linearity(self):
         zs = np.linspace(0.24, 0.2499, 8)
-        vals = [kli_rate_sfcar(1.0, float(z), 1024) for z in zs]
+        vals = [kli_rate_sfcar(1.0, float(z)) for z in zs]
         slopes = np.abs(np.diff(vals) / np.diff(zs))
         assert slopes.max() / slopes.min() < 2.0  # "approximately constant"
 
@@ -558,7 +562,7 @@ class TestHighSnrExpansion:
     @pytest.mark.parametrize("snr", [1e3, 1e4, 1e6, 1e9, 1e12])
     def test_rates_match_expansion(self, snr, zeta):
         q = (2.0 / math.pi) * float(mpmath.ellipk(16 * zeta**2))
-        for rate, expected in zip(_sfcar_rates(snr, zeta, inforates.DEFAULT_GRID), self.expansion(snr, zeta)):
+        for rate, expected in zip(_sfcar_rates(snr, zeta), self.expansion(snr, zeta)):
             assert abs(rate - expected) <= 2.0 * (q / snr) ** 3 + 2e-14, (rate, expected)
 
 
@@ -658,7 +662,7 @@ class TestOptimalZeta:
     )
     def test_no_intermediate_band(self):
         for db10 in range(-100, 105, 5):
-            z, _ = optimal_zeta(10 ** (db10 / 100.0), grid=256)
+            z, _ = optimal_zeta(10 ** (db10 / 100.0))
             assert not (0.02 < z < 0.15), f"zeta*={z:.4f} at {db10 / 10.0} dB"
 
 

@@ -109,7 +109,7 @@ class TestEnergy:
     def test_largest_sides_keep_finite_energy(self):
         cfg = replace(BASE, n=10**102)  # 1e306: the cube still fits a float
         assert math.isfinite(total_energy(cfg))
-        assert math.isfinite(network_report(cfg, grid=8).total_info)
+        assert math.isfinite(network_report(cfg).total_info)
 
     def test_tiny_dn_power_underflows_to_zero_cost(self):
         assert total_energy(replace(BASE, dn=0.5, nu=1e5, es=0.0)) == 0.0
@@ -197,7 +197,7 @@ class TestPernodeEnergy:
     def test_side_whose_cube_overflows_is_a_config_error(self, sides):
         # only the smallest side builds a config; every side must still be checked
         with pytest.raises(ValueError, match=r"^n is too large: n \*\* 3 overflows a float$"):
-            sweep_fixed_pernode_energy(BASE, sides, grid=8)
+            sweep_fixed_pernode_energy(BASE, sides)
 
     def test_side_below_two_is_a_config_error(self):
         with pytest.raises(ValueError, match="n must be >= 2, got 1"):
@@ -294,16 +294,16 @@ class TestInfiniteDensity:
 
     def test_fewer_than_one_node_rejected(self):
         # side 2: density 1/4 puts exactly one node on the area, the next float below it none
-        assert sweep_infinite_density(2.0, [1.0, 0.25], "kli", 1.0, 1.0, grid=16).mu_list[0] == 0.25
+        assert sweep_infinite_density(2.0, [1.0, 0.25], "kli", 1.0, 1.0).mu_list[0] == 0.25
         below = math.nextafter(0.25, 0.0)
         with pytest.raises(ValueError, match=f"^density {below!r} puts fewer than one node "
                                              r"on an area of side L = 2\.0$"):
-            sweep_infinite_density(2.0, [1.0, below], "kli", 1.0, 1.0, grid=16)
+            sweep_infinite_density(2.0, [1.0, below], "kli", 1.0, 1.0)
 
     def test_huge_side_only_bounds_the_node_check(self):
         # mu * L * L overflows to inf, which is not below one node; L enters nothing else
-        huge = sweep_infinite_density(1e200, [0.1, 1.0, 10.0], "kli", 1.0, 1.0, grid=8)
-        assert huge == sweep_infinite_density(4.0, [0.1, 1.0, 10.0], "kli", 1.0, 1.0, grid=8)
+        huge = sweep_infinite_density(1e200, [0.1, 1.0, 10.0], "kli", 1.0, 1.0)
+        assert huge == sweep_infinite_density(4.0, [0.1, 1.0, 10.0], "kli", 1.0, 1.0)
 
     def test_mi_products_also_drift_up(self):
         sweep = sweep_infinite_density(4.0, list(np.logspace(-1, 1, 10)), "mi", 1.0, 1.0)
@@ -361,9 +361,9 @@ class TestOptimalDensity:
     def test_bad_measure_named_even_when_no_density_is_feasible(self):
         args = dict(self.ARGS, et=1e-9)
         with pytest.raises(InfeasibleEnergyError):
-            optimal_density(**args, grid=8)
+            optimal_density(**args)
         with pytest.raises(ValueError, match="^measure must be 'kli' or 'mi', got 'bogus'$"):
-            optimal_density(**args, measure="bogus", grid=8)
+            optimal_density(**args, measure="bogus")
 
     def test_interior_maximum(self):
         res = optimal_density(**self.ARGS, mu_grid=np.logspace(0, 4, 201))

@@ -26,7 +26,7 @@ def test_every_command_has_an_example():
 @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
 def test_cli_example_runs(capfd, tmp_path, argv):
     path = tmp_path / "out.csv"
-    code = main([*argv, "--grid", "16", "--output", str(path)])  # the last --output wins
+    code = main([*argv, "--output", str(path)])  # the last --output wins
     captured = capfd.readouterr()
     assert code == 0, captured.err
     assert len(path.read_text().splitlines()) >= 2

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
-from gmrfinfo.specfun import bessel_k1, elliptic_e, elliptic_k
+from gmrfinfo.specfun import _agm, _agm_array, bessel_k1, elliptic_e, elliptic_k
 
 # Moduli for the mpmath oracles: a uniform grid, a log-spaced approach to the
 # k = 1 pole, and the old seam of elliptic_k's log asymptote at 1 - 1e-12.
@@ -83,6 +83,28 @@ def test_elliptic_k_and_e_match_mpmath():
         k_ref, e_ref = mp_complete_integrals(k)
         assert abs(elliptic_k(k) / k_ref - 1.0) <= 1e-14, k
         assert abs(elliptic_e(k) / e_ref - 1.0) <= 1e-14, k
+
+
+def test_agm_array_matches_scalar_agm():
+    # one array pass over moduli from 0 to next to 1, with k' from 1 - k as the kernel passes it
+    rng = np.random.default_rng(7)
+    k = np.array(ORACLE_MODULI + [0.0, *rng.uniform(0.0, 1.0, 200), *(1.0 - 10.0 ** rng.uniform(-16, -1, 200))])
+    m, gap, e_ratio = _agm_array(k, np.sqrt((1.0 - k) * (1.0 + k)))
+    for i, ki in enumerate(k.tolist()):
+        m_ref, gap_ref, e_ref = _agm(ki)
+        # within a few ulps: the two sum the same series by different recurrences
+        assert m[i] == pytest.approx(m_ref, rel=4e-16, abs=0.0), ki
+        assert gap[i] == pytest.approx(ki * gap_ref, rel=1e-15, abs=0.0), ki  # the scalar returns (1 - M) / k
+        assert abs(e_ratio[i] - e_ref) <= 4e-16, ki  # E / K <= 1
+
+
+def test_agm_array_matches_mpmath():
+    k = np.array(ORACLE_MODULI)
+    m, _, e_ratio = _agm_array(k, np.sqrt((1.0 - k) * (1.0 + k)))
+    for ki, mi, ei in zip(k.tolist(), m.tolist(), e_ratio.tolist()):
+        k_ref, e_ref = mp_complete_integrals(ki)
+        assert abs(math.pi / (2.0 * mi) / k_ref - 1.0) <= 1e-14, ki
+        assert abs(math.pi / (2.0 * mi) * ei / e_ref - 1.0) <= 1e-14, ki
 
 
 def test_elliptic_e_matches_scipy():

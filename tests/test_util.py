@@ -14,7 +14,6 @@ from gmrfinfo.inforates import (
     kli_rate_general,
     kli_rate_sfcar,
     mi_rate_general,
-    sfcar_info_rates,
     stein_kli,
 )
 from gmrfinfo.network import (
@@ -175,7 +174,7 @@ def _config(**fields):
 # every site that validates an input through the shared checks: the call, then
 # NaN, inf and a value below the bound with the exact class and message each raises
 INPUT_SITES = {
-    "kli_rate_sfcar snr": (lambda v: kli_rate_sfcar(v, 0.1, 16), _at_least("snr", 0, -1.0)),
+    "kli_rate_sfcar snr": (lambda v: kli_rate_sfcar(v, 0.1), _at_least("snr", 0, -1.0)),
     "stein_kli snr": (stein_kli, _at_least("snr", 0, -1.0)),
     "NetworkConfig nu": (lambda v: _config(nu=v), _at_least("nu", 2, 1.5)),
     "optimal_density nu": (lambda v: optimal_density(2.0, 50.0, 100.0, 1.0, 0.1, v),
@@ -189,7 +188,7 @@ INPUT_SITES = {
     "mc_kli_estimate trials": (lambda v: mc_kli_estimate(SfcarModel(1.0, 0.1), 1.0, 8, v, 1),
                                [(29, ValueError, "trials must be >= 30, got 29")]),
     "SfcarModel zeta": (lambda v: SfcarModel(1.0, v), _zeta_domain()),
-    "kli_rate_sfcar zeta": (lambda v: kli_rate_sfcar(1.0, v, 16), _zeta_domain()),
+    "kli_rate_sfcar zeta": (lambda v: kli_rate_sfcar(1.0, v), _zeta_domain()),
     "rho_from_zeta zeta": (rho_from_zeta, _zeta_domain()),
     "sfcar_for_snr zeta": (lambda v: sfcar_for_snr(1.0, v),
                            [(math.nan, ValueError, "zeta must be finite, got nan"),
@@ -228,8 +227,6 @@ def test_check_at_least_accepts_the_bound_and_any_int():
 # non-integer value and the exact message it raises
 INTEGER_SITES = {
     "omega_grid grid": (omega_grid, 1.5, "grid must be an integer, got 1.5"),
-    "sfcar_info_rates grid": (lambda v: sfcar_info_rates(1.0, 0.1, grid=v), 512.0,
-                              "grid must be an integer, got 512.0"),
     "mc_kli_estimate trials": (lambda v: mc_kli_estimate(SfcarModel(1.0, 0.1), 1.0, 8, v, 1),
                                30.5, "trials must be an integer, got 30.5"),
     "sweep_fixed_pernode_energy sides": (lambda v: sweep_fixed_pernode_energy(_config(), [3, v]),
@@ -257,21 +254,20 @@ def test_sorted_points_checks_each_value_then_sorts():
 # whose last value is bad with the exact message it raises
 _DENSE = SfcarModel(1.0, 0.1)
 LIST_SITES = {
-    "sweep_fixed_density sides": (lambda v: sweep_fixed_density(_config(), v, grid=8), "sides",
+    "sweep_fixed_density sides": (lambda v: sweep_fixed_density(_config(), v), "sides",
                                   [9, 3, 5], [3, 1], "n must be >= 2, got 1"),
-    "sweep_fixed_pernode_energy sides": (lambda v: sweep_fixed_pernode_energy(_config(), v, grid=8),
+    "sweep_fixed_pernode_energy sides": (lambda v: sweep_fixed_pernode_energy(_config(), v),
                                          "sides", [9, 3, 5], [3, 1], "n must be >= 2, got 1"),
-    "sweep_spacing spacings": (lambda v: sweep_spacing(_config(es=10.0), v, grid=8), "spacings",
+    "sweep_spacing spacings": (lambda v: sweep_spacing(_config(es=10.0), v), "spacings",
                                [2.0, 0.5, 1.0], [1.0, 0.0], "spacing must be positive, got 0.0"),
-    "sweep_infinite_density densities": (lambda v: sweep_infinite_density(4.0, v, "kli", 1.0, 1.0, grid=8),
+    "sweep_infinite_density densities": (lambda v: sweep_infinite_density(4.0, v, "kli", 1.0, 1.0),
                                          "densities", [1.0, 0.1, 10.0], [1.0, math.nan],
                                          "densities must be finite and positive"),
-    "optimal_density densities": (lambda v: optimal_density(2.0, 50.0, 100.0, 1.0, 0.1, 2.0, mu_grid=v,
-                                                            grid=8),
+    "optimal_density densities": (lambda v: optimal_density(2.0, 50.0, 100.0, 1.0, 0.1, 2.0, mu_grid=v),
                                   "densities", [8.0, 1.0, 4.0, 2.0, 16.0], [1.0, 0.0],
                                   "densities must be finite and positive"),
     "sweep_energy_fixed_all budgets": (lambda v: sweep_energy_fixed_all(_config(n=21, dn=0.1, alpha=100.0,
-                                                                                e0=0.1), v, grid=8),
+                                                                                e0=0.1), v),
                                        "budgets", [1e6, 1e4, 1e5], [1e4, math.inf],
                                        "et must be finite, got inf"),
     "logdet_convergence n_list": (lambda v: logdet_convergence(_DENSE, 1.0, v), "sides", [8, 4, 6],
